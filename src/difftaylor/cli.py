@@ -20,7 +20,7 @@ import numpy as np
 from difftaylor import fpe, spa, symderiv
 from difftaylor.config import PRESETS, ExperimentConfig
 from difftaylor.orders import deterministic_order, stochastic_order
-from difftaylor.samplers import NFE_PER_STEP, SOLVERS, sample
+from difftaylor.samplers import SOLVERS, sample
 from difftaylor.schedules import eval_schedule
 from difftaylor.score import PointCloudData
 
@@ -99,7 +99,7 @@ def _cmd_sample(args) -> int:
                 tlines.append(f"{run.run_id},{step_idx},{_fmt(t)},{_fmt(hs[step_idx])},{vals}")
         _write_lines(args.trajectory_out, tlines)
     print(f"sample: solver={cfg.solver} N={steps.N} batch={cfg.batch} "
-          f"nfe={steps.N * NFE_PER_STEP.get(cfg.solver, 1)} seed={cfg.seed}")
+          f"nfe={runs[0].nfe} seed={cfg.seed}")
     return 0
 
 

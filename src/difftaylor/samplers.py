@@ -5,9 +5,10 @@ probability-flow ODE; stochastic solvers (Euler-Maruyama, Ito-Taylor) simulate
 the reverse SDE.  All of them consume a score field in the convention
 S = -sqrt(nu) grad log p and step time downward from T to 0.
 
-The Taylor solvers use closed-form score derivatives valid for near-delta
-data, which turns the whole update into two scalar coefficients per step:
-x <- rho x + mu S/sqrt(nu) (plus a correlated noise term for Ito-Taylor).
+Except Heun and RK4, which evaluate Runge-Kutta stages, every solver is one
+affine update per step, x <- rho x + mu S + c_w w + c_wz (w - z) + c_z z, with
+scalars that depend only on the time grid (the Taylor ones through closed-form
+score derivatives valid for near-delta data); ``step_table`` builds them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from functools import partial
+from typing import Optional, Union
 
 import numpy as np
 
@@ -25,8 +27,6 @@ from difftaylor.score import ScoreField
 
 SOLVERS = ("euler", "heun", "rk4", "ddim", "taylor2", "taylor3",
            "euler_maruyama", "ito_taylor")
-STOCHASTIC_SOLVERS = ("euler_maruyama", "ito_taylor")
-NFE_PER_STEP = {"heun": 2, "rk4": 4}
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,20 @@ RK4 = ButcherTableau(
     a=((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
     b=(1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0),
 )
+RK_TABLEAUX = {"heun": HEUN, "rk4": RK4}
+
+
+@dataclass(frozen=True)
+class StepRow:
+    """x <- rho x + mu S(x, t) + noise from t to t - h, the noise as in
+    ``SharpStep``; rho and mu are None for the Runge-Kutta solvers."""
+    t: float
+    h: float
+    rho: Optional[float] = None
+    mu: Optional[float] = None
+    c_w: float = 0.0
+    c_wz: float = 0.0
+    c_z: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -173,6 +187,34 @@ def rk_step(
     return out
 
 
+def step_table(solver: str, sched: NoiseSchedule, steps: StepSchedule) -> list[StepRow]:
+    """Per-step rows of ``solver``; t runs down from T by ``t -= h`` to exactly 0."""
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    rows, t = [], sched.T
+    for i, h in enumerate(steps.steps):
+        t_next = 0.0 if i == steps.N - 1 else t - h
+        s = eval_schedule(sched, t)
+        if solver in RK_TABLEAUX:
+            row = StepRow(t, h)
+        elif solver == "euler":
+            row = StepRow(t, h, 1.0 + 0.5 * h * s.beta, -0.5 * h * s.beta / math.sqrt(s.nu))
+        elif solver == "euler_maruyama":
+            row = StepRow(t, h, 1.0 + 0.5 * h * s.beta, -h * s.beta / math.sqrt(s.nu),
+                          c_w=math.sqrt(h * s.beta))
+        elif solver == "ddim":
+            row = StepRow(t, h, *ddim_coeffs(s.nu, eval_schedule(sched, t_next).nu))
+        elif solver == "ito_taylor":
+            st = taylor_sharp_step(s, h)
+            row = StepRow(t, h, st.rho, st.mu / math.sqrt(s.nu), st.c_w, st.c_wz, st.c_z)
+        else:
+            c = taylor_flat_coeffs(s, h, 2 if solver == "taylor2" else 3)
+            row = StepRow(t, h, c.rho, c.mu / math.sqrt(s.nu))
+        rows.append(row)
+        t = t_next
+    return rows
+
+
 @dataclass(frozen=True)
 class StartSpec:
     """Initial condition: pure noise, or the exact noised marginal of a point."""
@@ -208,53 +250,27 @@ def _sample_chunk(
     clip: Optional[tuple[float, float]],
     record_trajectory: bool,
     start: StartSpec,
-    final_noise: bool = False,
-) -> tuple[np.ndarray, Optional[list]]:
+    final_noise: bool,
+    table: list[StepRow],
+) -> tuple[np.ndarray, list]:
     x = _initial_state(start, sched, d, traj, seed)
-    t = sched.T
-    trajectory = [(t, x.copy())] if record_trajectory else None
-    n_steps = steps.N
-    for i, h in enumerate(steps.steps):
-        last = i == n_steps - 1
-        t_next = 0.0 if last else t - h
-        if solver == "euler":
-            x = x + h * pf_ode_drift(x, t, score, sched)
-        elif solver == "heun":
-            x = rk_step(HEUN, x, t, h, score, sched)
-        elif solver == "rk4":
-            x = rk_step(RK4, x, t, h, score, sched)
-        elif solver == "ddim":
-            nu_t = eval_schedule(sched, t).nu
-            nu_prev = eval_schedule(sched, t_next).nu
-            rho, mu = ddim_coeffs(nu_t, nu_prev)
-            x = rho * x + mu * score.score(x, t, sched)
-        elif solver in ("taylor2", "taylor3"):
-            s = eval_schedule(sched, t)
-            coeffs = taylor_flat_coeffs(s, h, 2 if solver == "taylor2" else 3)
-            S = score.score(x, t, sched)
-            x = coeffs.rho * x + coeffs.mu * S / math.sqrt(s.nu)
-        elif solver == "euler_maruyama":
-            s = eval_schedule(sched, t)
-            x = x + h * rsde_drift(x, t, score, sched)
-            if final_noise or not last:  # default: no noise at the final step
-                w = rng.step_normals(seed, rng.PURPOSE_STEP_W, traj, i + 1, d)
-                x = x + math.sqrt(h * s.beta) * w
-        elif solver == "ito_taylor":
-            s = eval_schedule(sched, t)
-            step = taylor_sharp_step(s, h)
-            S = score.score(x, t, sched)
-            x = step.rho * x + step.mu * S / math.sqrt(s.nu)
-            if final_noise or not last:
-                w, z = rng.correlated_pair(seed, traj, i + 1, d)
-                x = x + step.c_w * w + step.c_wz * (w - z) + step.c_z * z
+    snapshots = [x.copy()] if record_trajectory else []
+    for i, row in enumerate(table):
+        if solver in RK_TABLEAUX:
+            x = rk_step(RK_TABLEAUX[solver], x, row.t, row.h, score, sched)
         else:
-            raise ValueError(f"unknown solver {solver!r}")
+            x = row.rho * x + row.mu * score.score(x, row.t, sched)
+        if final_noise or i < steps.N - 1:  # default: no noise at the final step
+            if solver == "euler_maruyama":
+                x = x + row.c_w * rng.step_normals(seed, rng.PURPOSE_STEP_W, traj, i + 1, d)
+            elif solver == "ito_taylor":
+                w, z = rng.correlated_pair(seed, traj, i + 1, d)
+                x = x + row.c_w * w + row.c_wz * (w - z) + row.c_z * z
         if clip is not None:
             x = np.clip(x, clip[0], clip[1])
-        t = t_next
         if record_trajectory:
-            trajectory.append((t, x.copy()))
-    return x, trajectory
+            snapshots.append(x.copy())
+    return x, list(zip([row.t for row in table] + [0.0], snapshots))
 
 
 def _run_chunks(
@@ -271,25 +287,21 @@ def _run_chunks(
     workers: int,
     final_noise: bool = False,
 ):
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    table = step_table(solver, sched, steps)
+    if batch < 1 or d < 1:
+        raise ValueError(f"batch and dimension d must be at least 1, got batch={batch} d={d}")
     if score.d != d:
         raise ValueError(f"score field dimension {score.d} does not match d={d}")
-    traj_all = np.arange(batch, dtype=np.uint64)
-    if workers <= 1 or batch < 2 * workers:
-        chunks = [traj_all]
+    n_chunks = workers if workers > 1 and batch >= 2 * workers else 1
+    chunks = np.array_split(np.arange(batch, dtype=np.uint64), n_chunks)
+    run = partial(_sample_chunk, solver, sched, steps, score, d, seed=seed, clip=clip,
+                  record_trajectory=record_trajectory, start=start,
+                  final_noise=final_noise, table=table)
+    if n_chunks == 1:
+        results = [run(chunks[0])]
     else:
-        chunks = [c for c in np.array_split(traj_all, workers) if len(c)]
-    args = [
-        (solver, sched, steps, score, d, chunk, seed, clip, record_trajectory,
-         start, final_noise)
-        for chunk in chunks
-    ]
-    if len(args) == 1:
-        results = [_sample_chunk(*args[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(args)) as pool:
-            results = list(pool.map(lambda a: _sample_chunk(*a), args))
+        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+            results = list(pool.map(run, chunks))
     finals = np.concatenate([r[0] for r in results], axis=0)
     return chunks, results, finals
 
@@ -313,11 +325,10 @@ def sample_finals(
     solvers; the sampling default drops it, which costs O(h) in the terminal
     variance and would mask the schemes' weak order in convergence studies.
     """
-    _, _, finals = _run_chunks(
+    return _run_chunks(
         solver, sched, steps, score, d, batch, seed, clip, False,
         start or StartSpec(), workers, final_noise,
-    )
-    return finals
+    )[2]
 
 
 def sample(
@@ -339,26 +350,15 @@ def sample(
     batch partitioning, because every random draw is keyed by the global
     trajectory index.
     """
-    if start is None:
-        start = StartSpec()
-    chunks, results, finals = _run_chunks(
+    _, results, finals = _run_chunks(
         solver, sched, steps, score, d, batch, seed, clip, record_trajectory,
-        start, workers,
+        start or StartSpec(), workers,
     )
-    nfe = steps.N * NFE_PER_STEP.get(solver, 1)
-    runs = []
-    for b in range(batch):
-        trajectory = None
-        if record_trajectory:
-            trajectory = []
-            offset = 0
-            for (chunk, (_, traj)) in zip(chunks, results):
-                if offset <= b < offset + len(chunk):
-                    trajectory = [(t, snap[b - offset]) for t, snap in traj]
-                    break
-                offset += len(chunk)
-        runs.append(
-            SampleRun(solver=solver, final=finals[b], nfe=nfe, seed=seed,
-                      run_id=b, trajectory=trajectory)
-        )
-    return runs
+    # per step: (t, the states of all chunks joined in trajectory order)
+    stacked = [(pairs[0][0], np.concatenate([snap for _, snap in pairs]))
+               for pairs in zip(*(traj for _, traj in results))]
+    nfe = steps.N * (RK_TABLEAUX[solver].stages if solver in RK_TABLEAUX else 1)
+    return [SampleRun(solver=solver, final=finals[b], nfe=nfe, seed=seed, run_id=b,
+                      trajectory=[(t, snap[b]) for t, snap in stacked] if record_trajectory
+                      else None)
+            for b in range(batch)]

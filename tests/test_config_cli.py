@@ -106,6 +106,8 @@ def test_cli_exit_code_2_on_config_errors(capsys):
     assert main(["sample", "--nu0", "2.0"]) == 2
     assert main(["order", "--solver", "ddim", "--preset", "cond-ii"]) == 2
     assert main(["schedule-dump", "--grid", "1"]) == 2
+    assert main(["sample", "--batch", "0"]) == 2
+    assert main(["sample", "--dim", "0"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--solver", "not-a-solver"])
     assert exc.value.code == 2

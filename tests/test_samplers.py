@@ -10,7 +10,6 @@ import pytest
 from difftaylor import rng
 from difftaylor.samplers import (
     HEUN,
-    NFE_PER_STEP,
     RK4,
     SOLVERS,
     ScoreField,
@@ -22,6 +21,7 @@ from difftaylor.samplers import (
     rsde_drift,
     sample,
     sample_finals,
+    step_table,
     taylor_flat_coeffs,
     taylor_sharp_step,
 )
@@ -29,6 +29,7 @@ from difftaylor.schedules import (
     Linear,
     NoiseSchedule,
     ScheduleSample,
+    StepSchedule,
     eval_schedule,
     fit_tanh_schedule,
     make_step_schedule,
@@ -245,7 +246,7 @@ def test_sample_runs_metadata_and_trajectory():
     assert len(runs) == 3
     for i, r in enumerate(runs):
         assert r.run_id == i
-        assert r.nfe == 4 * NFE_PER_STEP["heun"]
+        assert r.nfe == 4 * HEUN.stages
         assert len(r.trajectory) == 5
         assert r.trajectory[0][0] == 1.0
         assert r.trajectory[-1][0] == 0.0
@@ -273,3 +274,125 @@ def test_dimension_mismatch_rejected():
     steps = make_step_schedule("constant", 2, 1.0)
     with pytest.raises(ValueError, match="dimension"):
         sample_finals("euler", sched, steps, delta_field([0.0, 0.0]), 1, 1, 0)
+
+
+# Finals of every solver on cond-ii, 6 constant steps, delta data at
+# (0.5, -0.5), batch 4, seed 7, recorded from the per-step solver chain that
+# the step table replaced.  Heun and RK4 still evaluate stages and DDIM uses
+# the same coefficients, so those stay bit-identical; the other rows fold
+# 1/sqrt(nu) into mu, which moves the last few bits.
+FROZEN_FINALS = {
+    "euler": [
+        [0.5070625762229314, -0.4639080757180851],
+        [0.468367169557, -0.4275088523223123],
+        [0.5158485911909328, -0.49964624222509],
+        [0.5716043348639597, -0.42750475434562896],
+    ],
+    "heun": [
+        [0.4991543062665147, -0.3955284360955156],
+        [0.40623595150702635, -0.3081238513173421],
+        [0.5202519539218813, -0.48134564077358977],
+        [0.6541368879972911, -0.30811401094392155],
+    ],
+    "rk4": [
+        [0.5029173178234798, -0.486040414397332],
+        [0.4877842810904257, -0.4718053712187356],
+        [0.5063533609796045, -0.5000169308141673],
+        [0.5281583706637523, -0.471803768578086],
+    ],
+    "ddim": [
+        [0.5022803642498984, -0.4915523863170852],
+        [0.4926608931876224, -0.48250373413033265],
+        [0.504464520562483, -0.5004367032981913],
+        [0.5183251001255497, -0.4825027153952549],
+    ],
+    "taylor2": [
+        [0.4970034874824644, -0.4695767322536842],
+        [0.4724107002948239, -0.4464432796840861],
+        [0.5025874214672111, -0.49229005145901117],
+        [0.5380228712216809, -0.4464406752233205],
+    ],
+    "taylor3": [
+        [0.5026746731966225, -0.49634546698577586],
+        [0.49699945496130205, -0.49100701588354034],
+        [0.5039632641860564, -0.5015869649239807],
+        [0.5121406175331555, -0.4910064148584057],
+    ],
+    "euler_maruyama": [
+        [1.5558110208683784, 1.3657360960561922],
+        [-2.2600030853826185, -3.1856316641832723],
+        [2.3954882646839017, -0.012060223838419648],
+        [0.056948393128012476, 4.116253715560547],
+    ],
+    "ito_taylor": [
+        [-0.08799013307594866, -1.6494625197791848],
+        [-0.1518078839394616, -0.18507584514567565],
+        [0.8193093345298283, 1.1366743015643737],
+        [4.388000093090666, -4.157042151118848],
+    ],
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_frozen_finals(solver):
+    sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
+    steps = make_step_schedule("constant", 6, 1.0)
+    finals = sample_finals(solver, sched, steps, delta_field([0.5, -0.5]), 2, 4, seed=7)
+    expected = np.array(FROZEN_FINALS[solver])
+    if solver in ("heun", "rk4", "ddim"):
+        assert np.array_equal(finals, expected)
+    else:
+        assert finals == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", [fit_tanh_schedule(1e-4, 0.99, 1.0).kind,
+                                  Linear(beta0=0.1, beta1=9.95)])
+@pytest.mark.parametrize("solver", ["euler", "euler_maruyama", "ddim", "taylor2",
+                                    "taylor3", "ito_taylor"])
+def test_step_rows_match_reference_updates(kind, solver):
+    x = np.array([0.7, -1.3, 2.1])
+    S = np.array([-0.4, 0.9, 1.6])
+    fixed = ScoreField(d=3, kind="fixed", fn=lambda x, t, sched: S)
+    if solver == "ddim" and isinstance(kind, Linear):
+        # nu(0) = 0 on the linear schedule, so no DDIM table reaches t = 0
+        with pytest.raises(ValueError, match="nu_prev"):
+            step_table(solver, NoiseSchedule(kind=kind, T=1.0),
+                       make_step_schedule("constant", 4, 1.0))
+        return
+    for t, h in [(1.0, 0.1), (0.6, 0.05), (0.3, 0.2)]:
+        # the first row of a two-step plan starting at t steps to t - h
+        sched = NoiseSchedule(kind=kind, T=t)
+        row = step_table(solver, sched, StepSchedule("constant", 2, t, (h, t - h)))[0]
+        s = eval_schedule(sched, t)
+        noise = (0.0, 0.0, 0.0)
+        if solver == "euler":
+            ref = x + h * pf_ode_drift(x, t, fixed, sched)
+        elif solver == "euler_maruyama":
+            ref = x + h * rsde_drift(x, t, fixed, sched)
+            noise = (math.sqrt(h * s.beta), 0.0, 0.0)
+        elif solver == "ddim":
+            rho, mu = ddim_coeffs(s.nu, eval_schedule(sched, t - h).nu)
+            ref = rho * x + mu * S
+        elif solver == "ito_taylor":
+            st = taylor_sharp_step(s, h)
+            ref = st.rho * x + st.mu * S / math.sqrt(s.nu)
+            noise = (st.c_w, st.c_wz, st.c_z)
+        else:
+            c = taylor_flat_coeffs(s, h, int(solver[-1]))
+            ref = c.rho * x + c.mu * S / math.sqrt(s.nu)
+        assert (row.t, row.h) == (t, h)
+        assert row.rho * x + row.mu * S == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert (row.c_w, row.c_wz, row.c_z) == noise
+
+
+def test_trajectories_join_across_chunks():
+    sched = fit_tanh_schedule(1e-3, 0.9, 1.0)
+    steps = make_step_schedule("constant", 4, 1.0)
+    score = delta_field([0.5, -0.5])
+    one, three = (sample("ito_taylor", sched, steps, score, 2, 10, seed=4,
+                         record_trajectory=True, workers=w) for w in (1, 3))
+    assert len(one) == len(three) == 10
+    for a, b in zip(one, three):
+        assert [t for t, _ in a.trajectory] == [t for t, _ in b.trajectory]
+        assert all(xa.tobytes() == xb.tobytes()
+                   for (_, xa), (_, xb) in zip(a.trajectory, b.trajectory))
