@@ -1,10 +1,11 @@
 """Langevin particles versus an explicit Fokker-Planck solver in 2-D.
 
 The potential is a negative log Gaussian mixture with five wells on the unit
-circle.  Particles follow dx = -grad U dt + sqrt(2D) dB; the density follows
-dp/dt = div(grad U p + D grad p).  Both start from N(0, I) and should agree,
-which is checked by total-variation distance after binning the particles on
-the solver grid.
+circle; grad U is the posterior pull of the score module's mixture kernel with
+the wells as centers and var = sigma^2.  Particles follow dx = -grad U dt +
+sqrt(2D) dB; the density follows dp/dt = div(grad U p + D grad p).  Both start
+from N(0, I) and should agree, which is checked by total-variation distance
+after binning the particles on the solver grid.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from difftaylor import rng
+from difftaylor.score import _gmm_log_density, _gmm_logits, _gmm_posterior
 
 # conservative explicit stencil is stable for h <= _CFL_CONST * cell^2 / D
 _CFL_CONST = 0.2
@@ -35,21 +37,12 @@ class GmmPotential:
 
     def energy(self, xy: np.ndarray) -> np.ndarray:
         """U at points of shape (..., 2)."""
-        diff = xy[..., None, :] - self.centers  # (..., 5, 2)
-        sq = np.sum(diff * diff, axis=-1)
-        a = -0.5 * sq / self.sigma**2
-        amax = a.max(axis=-1)
-        return -(amax + np.log(np.sum(np.exp(a - amax[..., None]), axis=-1)))
+        return -_gmm_log_density(xy, self.centers, self.sigma**2)
 
     def grad(self, xy: np.ndarray) -> np.ndarray:
-        """grad U; softmax-weighted pull toward the wells, shape like xy."""
-        diff = xy[..., None, :] - self.centers
-        sq = np.sum(diff * diff, axis=-1)
-        a = -0.5 * sq / self.sigma**2
-        a -= a.max(axis=-1, keepdims=True)
-        w = np.exp(a)
-        w /= w.sum(axis=-1, keepdims=True)
-        return np.sum(w[..., None] * diff, axis=-2) / self.sigma**2
+        """grad U = (x - sum_k w_k c_k) / sigma^2, the posterior pull toward the wells."""
+        _, mean = _gmm_posterior(_gmm_logits(xy, self.centers, self.sigma**2), self.centers)
+        return (xy - mean) / self.sigma**2
 
 
 @dataclass

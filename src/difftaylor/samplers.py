@@ -191,6 +191,9 @@ def step_table(solver: str, sched: NoiseSchedule, steps: StepSchedule) -> list[S
     """Per-step rows of ``solver``; t runs down from T by ``t -= h`` to exactly 0."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    if solver in RK_TABLEAUX and eval_schedule(sched, 0.0).nu <= 0.0:
+        # the c = 1 stage of the last step evaluates the score at t = 0
+        raise ValueError(f"solver {solver!r} needs the score at t=0, but nu(0)=0 there")
     rows, t = [], sched.T
     for i, h in enumerate(steps.steps):
         t_next = 0.0 if i == steps.N - 1 else t - h

@@ -4,6 +4,10 @@ With a known data distribution the noised marginal is a Gaussian or a Gaussian
 mixture, so S can be computed in closed form.  All solvers consume this sign
 and scale convention: for a single data point x0 the oracle returns
 (x - sqrt(1-nu) x0)/sqrt(nu), which grows like x/sqrt(nu) near t=0.
+
+The one softmax over squared distances is the kernel ``_gmm_logits`` with its
+reductions ``_gmm_posterior`` and ``_gmm_log_density``; the mixture oracle,
+``spa`` and the ``fpe`` potential all call it.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import logsumexp, softmax
 
 from difftaylor.schedules import NoiseSchedule, eval_schedule
 
@@ -76,37 +81,46 @@ def score_gaussian(
     return np.sqrt(nu) * (x - np.sqrt(1.0 - nu) * mean) / ((1.0 - nu) * var + nu)
 
 
+def _gmm_logits(x: np.ndarray, centers: np.ndarray, var: float, log_weights=0.0) -> np.ndarray:
+    """log w_i - |x - c_i|^2 / (2 var) over the centers c_i, shape (..., n)."""
+    diff = np.asarray(x, dtype=np.float64)[..., None, :] - centers  # (..., n, d)
+    return -0.5 * np.sum(diff * diff, axis=-1) / var + log_weights
+
+
+def _gmm_posterior(logits: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax weights over the centers and the posterior mean sum_i w_i c_i."""
+    w = softmax(logits, axis=-1)
+    return w, w @ centers
+
+
+def _gmm_log_density(x: np.ndarray, centers: np.ndarray, var: float) -> np.ndarray:
+    """log sum_i exp(-|x - c_i|^2 / (2 var)), shape (...)."""
+    return logsumexp(_gmm_logits(x, centers, var), axis=-1)
+
+
 def _log_posterior(x: np.ndarray, nu: float, data: PointCloudData) -> np.ndarray:
     """Unnormalized log posterior weights over data points, shape (..., n)."""
-    x = np.asarray(x, dtype=np.float64)
-    centers = np.sqrt(1.0 - nu) * data.points  # (n, d)
-    diff = x[..., None, :] - centers  # (..., n, d)
-    sq = np.sum(diff * diff, axis=-1)  # (..., n)
-    return -0.5 * sq / nu + data.log_weights
+    return _gmm_logits(x, np.sqrt(1.0 - nu) * data.points, nu, data.log_weights)
+
+
+def _mixture_posterior(x: np.ndarray, nu: float, data: PointCloudData):
+    """(posterior weights, exact mixture score) of x at noise level nu."""
+    w, mean_center = _gmm_posterior(_log_posterior(x, nu, data), np.sqrt(1.0 - nu) * data.points)
+    return w, (x - mean_center) / np.sqrt(nu)
 
 
 def posterior_weights(
     x: np.ndarray, t: float, data: PointCloudData, sched: NoiseSchedule
 ) -> np.ndarray:
     """Softmax responsibilities of each data point for the noised sample x."""
-    nu = _nu(sched, t)
-    logp = _log_posterior(x, nu, data)
-    logp -= logp.max(axis=-1, keepdims=True)
-    w = np.exp(logp)
-    return w / w.sum(axis=-1, keepdims=True)
+    return _mixture_posterior(x, _nu(sched, t), data)[0]
 
 
 def score_mixture_exact(
     x: np.ndarray, t: float, data: PointCloudData, sched: NoiseSchedule
 ) -> np.ndarray:
-    """Exact mixture score: posterior-weighted average of per-point scores."""
-    nu = _nu(sched, t)
-    x = np.asarray(x, dtype=np.float64)
-    w = posterior_weights(x, t, data, sched)  # (..., n)
-    centers = np.sqrt(1.0 - nu) * data.points  # (n, d)
-    # S = (x - sum_i w_i c_i)/sqrt(nu)
-    mean_center = w @ centers if w.ndim <= 2 else np.einsum("...n,nd->...d", w, centers)
-    return (x - mean_center) / np.sqrt(nu)
+    """Exact mixture score: the posterior-weighted average of per-point scores."""
+    return _mixture_posterior(x, _nu(sched, t), data)[1]
 
 
 @dataclass(frozen=True)

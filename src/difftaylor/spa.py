@@ -14,9 +14,10 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import entr
 
 from difftaylor import rng
-from difftaylor.score import PointCloudData, _log_posterior
+from difftaylor.score import PointCloudData, _mixture_posterior
 
 
 @dataclass(frozen=True)
@@ -70,21 +71,14 @@ def _metrics_batch(
     data: PointCloudData, indices: np.ndarray, nu: float, seed: int, trial0: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (rel_l2, cossim, entropy) for noised draws of chosen points."""
-    pts = data.points
-    d = data.d
     trials = np.arange(trial0, trial0 + len(indices), dtype=np.uint64)
-    g = rng.counter_normal(
-        seed, rng.PURPOSE_TRIAL, trials[:, None], np.arange(d, dtype=np.uint64)
-    )
-    x0 = pts[indices]
+    g = rng.counter_normal(seed, rng.PURPOSE_TRIAL, trials[:, None],
+                           np.arange(data.d, dtype=np.uint64))
+    x0 = data.points[indices]
     x = math.sqrt(1.0 - nu) * x0 + math.sqrt(nu) * g  # (trials, d)
 
     single = (x - math.sqrt(1.0 - nu) * x0) / math.sqrt(nu)  # equals sqrt(nu) g / sqrt(nu)
-    logp = _log_posterior(x, nu, data)  # (trials, n)
-    logp -= logp.max(axis=-1, keepdims=True)
-    w = np.exp(logp)
-    w /= w.sum(axis=-1, keepdims=True)
-    mix = (x - math.sqrt(1.0 - nu) * (w @ pts)) / math.sqrt(nu)
+    w, mix = _mixture_posterior(x, nu, data)  # (trials, n), (trials, d)
 
     sn = np.linalg.norm(single, axis=-1)
     mn = np.linalg.norm(mix, axis=-1)
@@ -92,9 +86,7 @@ def _metrics_batch(
         raise ZeroDivisionError("degenerate zero single-point score")
     rel_l2 = np.linalg.norm(mix - single, axis=-1) / sn
     cossim = np.sum(single * mix, axis=-1) / (sn * np.maximum(mn, 1e-300))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.sum(np.where(w > 0, w * np.log(w), 0.0), axis=-1)
-    return rel_l2, cossim, ent
+    return rel_l2, cossim, entr(w).sum(axis=-1)
 
 
 def spa_point_metrics(

@@ -102,12 +102,24 @@ def test_cli_symdiff_dump(tmp_path, capsys):
     assert "Lsharp(-fsharp)" in text
 
 
-def test_cli_exit_code_2_on_config_errors(capsys):
+def test_cli_exit_code_2_on_config_errors(capsys, tmp_path):
     assert main(["sample", "--nu0", "2.0"]) == 2
     assert main(["order", "--solver", "ddim", "--preset", "cond-ii"]) == 2
     assert main(["schedule-dump", "--grid", "1"]) == 2
     assert main(["sample", "--batch", "0"]) == 2
     assert main(["sample", "--dim", "0"]) == 2
+    # the last Heun/RK4 stage evaluates the score at t=0, where nu(0)=0 here
+    for solver, schedule in [("heun", "linear"), ("rk4", "cosine")]:
+        capsys.readouterr()
+        assert main(["sample", "--solver", solver, "--schedule", schedule]) == 2
+        err = capsys.readouterr().err
+        assert f"solver '{solver}'" in err and "nu(0)=0" in err
+    # a config file bypasses argparse's choices; the sampler rejects the name
+    cfg = tmp_path / "leapfrog.json"
+    cfg.write_text('{"solver": "leapfrog"}')
+    for command in ("sample", "order"):
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "'leapfrog'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--solver", "not-a-solver"])
     assert exc.value.code == 2

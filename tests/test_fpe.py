@@ -41,6 +41,21 @@ def test_potential_gradient_matches_finite_difference():
             assert abs(fd - g[j]) < 1e-6 * max(1.0, abs(fd))
 
 
+def test_potential_matches_loop_reference():
+    # the per-well loop forms: max-shifted log-sum-exp and sum_i w_i (x - c_i) / sigma^2
+    pot = GmmPotential()
+    xy = np.random.default_rng(3).uniform(-1.5, 1.5, size=(1000, 2))
+    a = np.stack([-0.5 * np.sum((xy - c) ** 2, axis=-1) / pot.sigma**2
+                  for c in pot.centers], axis=-1)
+    amax = a.max(axis=-1, keepdims=True)
+    e = np.exp(a - amax)
+    energy = -(amax[:, 0] + np.log(e.sum(axis=-1)))
+    w = e / e.sum(axis=-1, keepdims=True)
+    grad = sum(w[:, i, None] * (xy - c) for i, c in enumerate(pot.centers)) / pot.sigma**2
+    np.testing.assert_allclose(pot.energy(xy), energy, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(pot.grad(xy), grad, rtol=1e-12, atol=0)
+
+
 def test_energy_minimum_near_wells():
     pot = GmmPotential()
     at_well = pot.energy(pot.centers[0])

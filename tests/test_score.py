@@ -95,6 +95,59 @@ def test_mixture_matches_high_precision_oracle():
     assert np.allclose(got, expected, atol=1e-13)
 
 
+# weighted cloud with a zero-weight point, shared with the SPA parity test
+PARITY_PTS = np.array([[0.1, -0.4, 0.7], [0.9, 0.2, -0.3], [-0.6, 0.5, 0.0],
+                       [0.3, 0.8, -0.9], [-0.2, -0.7, 0.4], [0.5, 0.0, 0.6]])
+PARITY_W = np.array([0.25, 0.0, 0.15, 0.2, 0.3, 0.1])
+PARITY_X = np.array([[0.2, -0.1, 0.5], [-0.8, 0.6, 0.3], [1.1, -0.9, -0.2]])
+# frozen outputs at t = 0.05, 0.3, 0.9 (nu = 2.65e-4, 0.0269, 0.973)
+FROZEN_POSTERIOR = {
+    0.05: (
+        [[7.169269664366985e-25, 0.0, 0.0, 0.0, 0.0, 1.0],
+         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+         [6.880022922239989e-205, 0.0, 0.0, 0.0, 2.3557798916009926e-229, 1.0]],
+        [[-18.41294898291452, -6.139007190933668, -6.134120083069885],
+         [-12.28290148973112, 6.143079780820148, 18.417021572801],
+         [36.83811573548849, -55.251064718403015, -49.107170419605566]],
+    ),
+    0.3: (
+        [[0.5930610358623023, 0.0, 4.974098160770409e-10, 5.302363025049122e-22,
+          0.0005576436522435129, 0.40638131998804444],
+         [4.3462051404899135e-15, 0.0, 0.9999999999999944, 7.872428789930325e-21,
+          1.00699725817043e-15, 7.577118897262315e-17],
+         [0.024644888478936797, 0.0, 4.010087302179609e-25, 5.81024574021223e-18,
+          0.017178176607098177, 0.958176934913965]],
+        [[-0.3589329940191002, 0.8199187734478857, -0.9167796960982153],
+         [-1.269621414376123, 0.6513142784825597, 1.830166050738981],
+         [3.8332817720655354, -5.35880740986567, -4.825087693992081]],
+    ),
+    0.9: (
+        [[0.26380954728175554, 0.0, 0.1437425112999524, 0.17997644460868617,
+          0.30705229711595483, 0.10541919969365106],
+         [0.24483257772742825, 0.0, 0.17060774502105328, 0.19613903844298364,
+          0.2922083078318054, 0.09621233097672947],
+         [0.26312066843976395, 0.0, 0.12415027351188786, 0.19001602002178067,
+          0.3156157158070745, 0.10709732221949293]],
+        [[0.20511381593426278, -0.08408215838762981, 0.4723012112435686],
+         [-0.8059809680770523, 0.6180733924249806, 0.27608089442560185],
+         [1.1150161907641338, -0.8936776720471978, -0.23633630137496417]],
+    ),
+}
+
+
+@pytest.mark.parametrize("t", sorted(FROZEN_POSTERIOR))
+def test_posterior_frozen_bits_with_zero_weight_point(t):
+    data = PointCloudData(points=PARITY_PTS, weights=PARITY_W)
+    sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
+    w = posterior_weights(PARITY_X, t, data, sched)
+    s = score_mixture_exact(PARITY_X, t, data, sched)
+    want_w, want_s = FROZEN_POSTERIOR[t]
+    assert np.array_equal(w, want_w)
+    assert np.array_equal(s, want_s)
+    # a -inf log-weight goes through the softmax as an exact zero
+    assert np.all(w[:, 1] == 0.0)
+
+
 def test_posterior_weights_sum_to_one_and_concentrate():
     # near one noised center with gap^2/nu large the posterior is nearly a point mass
     pts = np.array([[0.0], [10.0]])

@@ -86,6 +86,44 @@ def test_two_equidistant_points_entropy_log2():
     assert ent == pytest.approx(math.log(2), abs=1e-12)
 
 
+# frozen spa_sweep(..., raw=True) output on the weighted parity cloud of
+# tests/test_score.py (one zero-weight point), nu grid (0.05, 0.5, 0.95), 3 trials, seed 5
+FROZEN_SWEEP = [
+    (0.05, 1.0304463578901208, 0.025359085608429366, 2.579332481436162,
+     0.44781170968928113, -0.4681308159367157, 0.9971528040122218, 0.09301429923436554),
+    (0.5, 0.67023196652441, 0.2279644350752652, 1.111391850022764,
+     0.7210709742486455, 0.39982963165329516, 0.9684501842025374, 1.3264013134894717),
+    (0.95, 0.13221263077940668, 0.0800546644669312, 0.19461822213910424,
+     0.9914908081336332, 0.9846293203240677, 0.9970848364755484, 1.4919893223343124),
+]
+FROZEN_RAW = [  # nu, trial, rel_l2, cossim, entropy
+    (0.05, 0, 2.837748217586413, -0.628092911054375, 0.003277286863437399),
+    (0.05, 1, 4.300813988265193e-14, 1.0, 7.025459623329012e-13),
+    (0.05, 2, 0.2535908560839066, 0.9715280401222184, 0.2757656108389566),
+    (0.5, 0, 1.1602337977208683, 0.3524120011043739, 1.4868212662330742),
+    (0.5, 1, 0.6718143207398253, 0.8265883065935866, 1.4146279220705198),
+    (0.5, 2, 0.17864778111253632, 0.9842126150479763, 1.0777547521648214),
+    (0.95, 0, 0.2031787838849789, 0.9836657487471874, 1.4944451800098846),
+    (0.95, 1, 0.11757316642623224, 0.993301464515991, 1.5025103519365437),
+    (0.95, 2, 0.07588594202700887, 0.9975052111377214, 1.4790124350565086),
+]
+
+
+def test_sweep_frozen_values_on_weighted_cloud():
+    pts = np.array([[0.1, -0.4, 0.7], [0.9, 0.2, -0.3], [-0.6, 0.5, 0.0],
+                    [0.3, 0.8, -0.9], [-0.2, -0.7, 0.4], [0.5, 0.0, 0.6]])
+    data = PointCloudData(points=pts, weights=np.array([0.25, 0.0, 0.15, 0.2, 0.3, 0.1]))
+    rows, raw_rows = spa_sweep(data, (0.05, 0.5, 0.95), 3, seed=5, raw=True)
+    stats = ("nu", "rel_l2_mean", "rel_l2_p5", "rel_l2_p95", "cossim_mean",
+             "cossim_p5", "cossim_p95", "entropy_mean")
+    assert [tuple(r[k] for k in stats) for r in rows] == [
+        pytest.approx(v, rel=1e-14, abs=1e-15) for v in FROZEN_SWEEP]
+    cols = ("nu", "trial", "rel_l2", "cossim", "entropy")
+    assert [tuple(r[k] for k in cols) for r in raw_rows] == [
+        pytest.approx(v, rel=1e-14, abs=1e-15) for v in FROZEN_RAW]
+    assert all(math.isfinite(r["entropy"]) for r in raw_rows)
+
+
 def test_point_metrics_validation():
     data = PointCloudData(points=np.zeros((2, 3)))
     with pytest.raises(ValueError, match="nu"):
