@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -160,3 +161,24 @@ def test_cli_rerun_byte_identical(tmp_path):
         assert r.returncode == 0, r.stderr
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+FROZEN_SAMPLE_SHA256 = {
+    "ito_taylor": ("d32d13e47f5d7504011c95880cd771aba835fa7fc7a1b6510987a1e89342ceb2",
+                   "fc1743744f4e389024626484277c7cf2e70b0a365123f63e6b05d39ade30a019"),
+    "heun": ("d50276bbe8ef2d01c6c7e6b80ebfed95b9dfdcb39b1b799cbae9216e9953989f",
+             "20803b8b0a533d5bf6dcba548ea7d0e18c65b23e08d001e71ee643c976cdfbd4"),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("solver", sorted(FROZEN_SAMPLE_SHA256))
+def test_cli_sample_csv_frozen_sha256(tmp_path, solver, workers):
+    summary, traj = tmp_path / "s.csv", tmp_path / "t.csv"
+    code = main(["sample", "--solver", solver, "--preset", "cond-ii", "--steps", "5",
+                 "--batch", "10", "--dim", "2", "--seed", "4", "--workers", workers,
+                 "--out", str(summary), "--record-trajectory",
+                 "--trajectory-out", str(traj)])
+    assert code == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (summary, traj))
+    assert digests == FROZEN_SAMPLE_SHA256[solver]
