@@ -2,7 +2,8 @@
 
 Subcommands: sample, order, schedule-dump, spa-sweep, symdiff-dump, fpe-demo.
 Every command writes CSV (or plain text for symdiff-dump) and prints a one
-line summary.  Exit codes: 0 success, 2 configuration error, 1 runtime error.
+line summary; ``sample --trajectory-out`` adds the states at every grid time.
+Exit codes: 0 success, 2 configuration error, 1 runtime error.
 Worker-pool size comes from --workers, overridden by the DSL_THREADS
 environment variable; results never depend on it.
 """
@@ -10,6 +11,7 @@ environment variable; results never depend on it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -38,10 +40,22 @@ def _write_lines(path: Optional[str], lines: list[str]) -> None:
             f.write(text)
 
 
+def _numbers(text: str) -> list[float]:
+    """argparse type for a comma-separated list of numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _workers(args) -> int:
     env = os.environ.get("DSL_THREADS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"DSL_THREADS must be an integer, got {env!r}") from None
     if args.workers is not None:
         return max(1, args.workers)
     return os.cpu_count() or 1
@@ -54,19 +68,10 @@ def _config_from_args(args) -> ExperimentConfig:
             cfg = ExperimentConfig.from_json(f.read())
     if getattr(args, "preset", None):
         cfg.apply_preset(args.preset)
-    for attr, name in [
-        ("solver", "solver"), ("schedule", "schedule"), ("nu0", "nu0"),
-        ("nuT", "nuT"), ("T", "T"), ("steps", "steps"),
-        ("step_schedule", "step_schedule"), ("oracle", "oracle"),
-        ("dataset", "dataset"), ("dim", "d"), ("batch", "batch"),
-        ("seed", "seed"), ("out", "out"),
-    ]:
-        val = getattr(args, attr, None)
+    for f in dataclasses.fields(ExperimentConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "clip", None):
-        lo, hi = (float(v) for v in args.clip.split(","))
-        cfg.clip = [lo, hi]
+            setattr(cfg, f.name, val)
     return cfg
 
 
@@ -75,29 +80,26 @@ def _cmd_sample(args) -> int:
     sched = cfg.noise_schedule()
     steps = cfg.step_plan()
     score = cfg.score_field()
-    runs = sample(
+    finals, trajectory, nfe = sample(
         cfg.solver, sched, steps, score, cfg.d, cfg.batch, cfg.seed,
-        clip=cfg.clip_tuple(), record_trajectory=args.record_trajectory,
+        clip=cfg.clip_tuple(), record_trajectory=args.trajectory_out is not None,
         workers=_workers(args),
     )
     lines = ["run_id,solver,N,nfe,final_norm"]
-    for run in runs:
-        lines.append(
-            f"{run.run_id},{run.solver},{steps.N},{run.nfe},"
-            f"{_fmt(float(np.linalg.norm(run.final)))}"
-        )
+    for b, x in enumerate(finals):
+        lines.append(f"{b},{cfg.solver},{steps.N},{nfe},{_fmt(float(np.linalg.norm(x)))}")
     _write_lines(cfg.out, lines)
-    if args.record_trajectory and args.trajectory_out:
+    if trajectory is not None:
         dims = ",".join(f"dim{i}" for i in range(cfg.d))
         tlines = [f"run_id,step,t,h,{dims}"]
         hs = (0.0,) + steps.steps
-        for run in runs:
-            for step_idx, (t, x) in enumerate(run.trajectory):
-                vals = ",".join(_fmt(float(v)) for v in np.atleast_1d(x))
-                tlines.append(f"{run.run_id},{step_idx},{_fmt(t)},{_fmt(hs[step_idx])},{vals}")
+        for b, path in enumerate(trajectory.swapaxes(0, 1)):
+            for i, (t, h, x) in enumerate(zip(steps.times, hs, path)):
+                vals = ",".join(_fmt(float(v)) for v in x)
+                tlines.append(f"{b},{i},{_fmt(t)},{_fmt(h)},{vals}")
         _write_lines(args.trajectory_out, tlines)
     print(f"sample: solver={cfg.solver} N={steps.N} batch={cfg.batch} "
-          f"nfe={runs[0].nfe} seed={cfg.seed}")
+          f"nfe={nfe} seed={cfg.seed}")
     return 0
 
 
@@ -164,8 +166,7 @@ def _cmd_spa_sweep(args) -> int:
         data = cfg.point_cloud()
     else:
         data = _synthetic_cloud(seed=cfg.seed)
-    nu_grid = [float(v) for v in args.nu_grid.split(",")]
-    result = spa.spa_sweep(data, nu_grid, args.trials, seed=cfg.seed,
+    result = spa.spa_sweep(data, args.nu_grid, args.trials, seed=cfg.seed,
                            raw=bool(args.raw_out))
     rows, raw_rows = result if args.raw_out else (result, None)
     cols = ["nu", "rel_l2_mean", "rel_l2_p5", "rel_l2_p95", "cossim_mean",
@@ -181,7 +182,7 @@ def _cmd_spa_sweep(args) -> int:
             rlines.append(",".join(
                 str(row[c]) if c == "trial" else _fmt(row[c]) for c in rcols))
         _write_lines(args.raw_out, rlines)
-    print(f"spa-sweep: points={len(data.points)} grid={len(nu_grid)} trials={args.trials}")
+    print(f"spa-sweep: points={len(data.points)} grid={len(args.nu_grid)} trials={args.trials}")
     return 0
 
 
@@ -235,10 +236,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    choices=("constant", "exponential"))
     p.add_argument("--oracle", choices=("delta", "gaussian", "mixture", "idx"))
     p.add_argument("--dataset")
-    p.add_argument("--dim", type=int)
+    p.add_argument("--dim", dest="d", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--clip", help="lo,hi clipping interval")
+    p.add_argument("--clip", type=_numbers, help="lo,hi clipping interval")
     p.add_argument("--out")
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--config", help="JSON experiment config file")
@@ -254,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run a sampler and write a summary CSV")
     _add_common(p)
-    p.add_argument("--record-trajectory", action="store_true")
-    p.add_argument("--trajectory-out")
+    p.add_argument("--trajectory-out", help="per-step trajectory CSV output path")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("order", help="estimate a solver's convergence order")
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spa-sweep", help="single-point approximation metrics sweep")
     _add_common(p)
-    p.add_argument("--nu-grid", default="0.001,0.01,0.1,0.5,0.9,0.99,0.999")
+    p.add_argument("--nu-grid", type=_numbers, default="0.001,0.01,0.1,0.5,0.9,0.99,0.999")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--raw-out", help="per-trial CSV output path")
     p.set_defaults(fn=_cmd_spa_sweep)

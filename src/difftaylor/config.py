@@ -113,6 +113,8 @@ class ExperimentConfig:
     def clip_tuple(self) -> Optional[tuple]:
         if self.clip is None:
             return None
+        if not isinstance(self.clip, (list, tuple)) or len(self.clip) != 2:
+            raise ValueError(f"clip must be a [lo, hi] pair, got {self.clip}")
         lo, hi = self.clip
         if not lo < hi:
             raise ValueError(f"clip interval must satisfy lo < hi, got {self.clip}")

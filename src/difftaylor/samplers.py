@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
@@ -81,16 +81,6 @@ class StepRow:
     c_w: float = 0.0
     c_wz: float = 0.0
     c_z: float = 0.0
-
-
-@dataclass(frozen=True)
-class SampleRun:
-    solver: str
-    final: np.ndarray
-    nfe: int
-    seed: int
-    run_id: int
-    trajectory: Optional[list] = field(default=None, repr=False)
 
 
 def pf_ode_drift(x: np.ndarray, t: float, score: ScoreField, sched: NoiseSchedule) -> np.ndarray:
@@ -188,15 +178,17 @@ def rk_step(
 
 
 def step_table(solver: str, sched: NoiseSchedule, steps: StepSchedule) -> list[StepRow]:
-    """Per-step rows of ``solver``; t runs down from T by ``t -= h`` to exactly 0."""
+    """Per-step rows of ``solver`` at the grid times ``steps.times``."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    if steps.T != sched.T:
+        raise ValueError(f"step plan spans T={steps.T} but the schedule spans T={sched.T}")
     if solver in RK_TABLEAUX and eval_schedule(sched, 0.0).nu <= 0.0:
         # the c = 1 stage of the last step evaluates the score at t = 0
         raise ValueError(f"solver {solver!r} needs the score at t=0, but nu(0)=0 there")
-    rows, t = [], sched.T
-    for i, h in enumerate(steps.steps):
-        t_next = 0.0 if i == steps.N - 1 else t - h
+    rows = []
+    times = steps.times
+    for t, t_next, h in zip(times, times[1:], steps.steps):
         s = eval_schedule(sched, t)
         if solver in RK_TABLEAUX:
             row = StepRow(t, h)
@@ -214,7 +206,6 @@ def step_table(solver: str, sched: NoiseSchedule, steps: StepSchedule) -> list[S
             c = taylor_flat_coeffs(s, h, 2 if solver == "taylor2" else 3)
             row = StepRow(t, h, c.rho, c.mu / math.sqrt(s.nu))
         rows.append(row)
-        t = t_next
     return rows
 
 
@@ -255,9 +246,9 @@ def _sample_chunk(
     start: StartSpec,
     final_noise: bool,
     table: list[StepRow],
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     x = _initial_state(start, sched, d, traj, seed)
-    snapshots = [x.copy()] if record_trajectory else []
+    snapshots = [x]
     for i, row in enumerate(table):
         if solver in RK_TABLEAUX:
             x = rk_step(RK_TABLEAUX[solver], x, row.t, row.h, score, sched)
@@ -272,8 +263,8 @@ def _sample_chunk(
         if clip is not None:
             x = np.clip(x, clip[0], clip[1])
         if record_trajectory:
-            snapshots.append(x.copy())
-    return x, list(zip([row.t for row in table] + [0.0], snapshots))
+            snapshots.append(x)
+    return x, np.stack(snapshots) if record_trajectory else None
 
 
 def _run_chunks(
@@ -306,7 +297,8 @@ def _run_chunks(
         with ThreadPoolExecutor(max_workers=n_chunks) as pool:
             results = list(pool.map(run, chunks))
     finals = np.concatenate([r[0] for r in results], axis=0)
-    return chunks, results, finals
+    trajectory = np.concatenate([r[1] for r in results], axis=1) if record_trajectory else None
+    return table, trajectory, finals
 
 
 def sample_finals(
@@ -322,7 +314,7 @@ def sample_finals(
     workers: int = 1,
     final_noise: bool = False,
 ) -> np.ndarray:
-    """Batch-array variant of ``sample``: returns the (batch, d) final states.
+    """The (batch, d) final states of ``sample``, without a trajectory.
 
     ``final_noise=True`` keeps the last-step noise injection of the stochastic
     solvers; the sampling default drops it, which costs O(h) in the terminal
@@ -346,22 +338,19 @@ def sample(
     record_trajectory: bool = False,
     start: Union[StartSpec, None] = None,
     workers: int = 1,
-) -> list[SampleRun]:
+) -> tuple[np.ndarray, Optional[np.ndarray], int]:
     """Run ``batch`` independent trajectories of ``solver`` from t=T to t=0.
 
+    Returns ``(finals, trajectory, nfe)``: the (batch, d) final states, the
+    (N+1, batch, d) states at ``steps.times`` (None unless
+    ``record_trajectory``), and the score evaluations per trajectory.
     Results are bit-identical for a fixed seed regardless of ``workers`` or
     batch partitioning, because every random draw is keyed by the global
     trajectory index.
     """
-    _, results, finals = _run_chunks(
+    table, trajectory, finals = _run_chunks(
         solver, sched, steps, score, d, batch, seed, clip, record_trajectory,
         start or StartSpec(), workers,
     )
-    # per step: (t, the states of all chunks joined in trajectory order)
-    stacked = [(pairs[0][0], np.concatenate([snap for _, snap in pairs]))
-               for pairs in zip(*(traj for _, traj in results))]
-    nfe = steps.N * (RK_TABLEAUX[solver].stages if solver in RK_TABLEAUX else 1)
-    return [SampleRun(solver=solver, final=finals[b], nfe=nfe, seed=seed, run_id=b,
-                      trajectory=[(t, snap[b]) for t, snap in stacked] if record_trajectory
-                      else None)
-            for b in range(batch)]
+    stages = RK_TABLEAUX[solver].stages if solver in RK_TABLEAUX else 1
+    return finals, trajectory, len(table) * stages

@@ -10,7 +10,9 @@ beta = lam' tanh(lam/2), which keeps beta/sqrt(nu) = lam' bounded.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Union
 
 
@@ -69,6 +71,11 @@ class StepSchedule:
     T: float
     steps: tuple[float, ...]
     terminal_ratio: float = 0.1
+
+    @property
+    def times(self) -> tuple[float, ...]:
+        """The N+1 grid times: T, then ``t -= h`` per step, ending at exactly 0."""
+        return (*accumulate(self.steps[:-1], operator.sub, initial=self.T), 0.0)
 
 
 def fit_tanh_schedule(nu0: float, nuT: float, T: float) -> NoiseSchedule:

@@ -65,12 +65,15 @@ def test_cli_sample_trajectory_csv(tmp_path):
     traj = tmp_path / "t.csv"
     code = main(["sample", "--solver", "euler", "--preset", "cond-ii",
                  "--steps", "4", "--batch", "2", "--dim", "2",
-                 "--record-trajectory", "--trajectory-out", str(traj),
-                 "--out", str(out)])
+                 "--trajectory-out", str(traj), "--out", str(out)])
     assert code == 0
     lines = traj.read_text().strip().splitlines()
     assert lines[0] == "run_id,step,t,h,dim0,dim1"
     assert len(lines) == 1 + 2 * 5  # header + (N+1) rows per run
+    # --trajectory-out alone records the trajectory; the old flag is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--record-trajectory", "--out", str(out)])
+    assert exc.value.code == 2
 
 
 def test_cli_schedule_dump(tmp_path):
@@ -103,7 +106,7 @@ def test_cli_symdiff_dump(tmp_path, capsys):
     assert "Lsharp(-fsharp)" in text
 
 
-def test_cli_exit_code_2_on_config_errors(capsys, tmp_path):
+def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["sample", "--nu0", "2.0"]) == 2
     assert main(["order", "--solver", "ddim", "--preset", "cond-ii"]) == 2
     assert main(["schedule-dump", "--grid", "1"]) == 2
@@ -121,9 +124,23 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path):
     for command in ("sample", "order"):
         assert main([command, "--config", str(cfg)]) == 2
         assert "'leapfrog'" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["sample", "--solver", "not-a-solver"])
-    assert exc.value.code == 2
+    for clip in ("[1]", "1"):
+        cfg.write_text(f'{{"clip": {clip}}}')
+        assert main(["sample", "--config", str(cfg)]) == 2
+        assert "clip" in capsys.readouterr().err
+    # argparse rejects these before the command runs and names the flag
+    for argv, flag in [(["sample", "--solver", "not-a-solver"], "--solver"),
+                       (["sample", "--clip", "1,x"], "--clip"),
+                       (["spa-sweep", "--nu-grid", "0.5,x"], "--nu-grid")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+    assert main(["sample", "--clip", "1"]) == 2
+    assert "clip" in capsys.readouterr().err
+    monkeypatch.setenv("DSL_THREADS", "abc")
+    assert main(["sample"]) == 2
+    assert "DSL_THREADS" in capsys.readouterr().err
 
 
 def test_cli_missing_dataset_file(tmp_path):
@@ -177,8 +194,7 @@ def test_cli_sample_csv_frozen_sha256(tmp_path, solver, workers):
     summary, traj = tmp_path / "s.csv", tmp_path / "t.csv"
     code = main(["sample", "--solver", solver, "--preset", "cond-ii", "--steps", "5",
                  "--batch", "10", "--dim", "2", "--seed", "4", "--workers", workers,
-                 "--out", str(summary), "--record-trajectory",
-                 "--trajectory-out", str(traj)])
+                 "--out", str(summary), "--trajectory-out", str(traj)])
     assert code == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (summary, traj))
     assert digests == FROZEN_SAMPLE_SHA256[solver]

@@ -188,7 +188,7 @@ def test_heun_step_on_linear_drift():
 
 
 @pytest.mark.parametrize("n", [1, 4, 8, 30])
-def test_ddim_delta_data_telescopes_exactly(n, monkeypatch=None):
+def test_ddim_delta_data_telescopes_exactly(n):
     sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
     steps = make_step_schedule("exponential", n, 1.0)
     score = delta_field([0.0])
@@ -241,16 +241,13 @@ def test_sample_runs_metadata_and_trajectory():
     sched = fit_tanh_schedule(1e-3, 0.9, 1.0)
     steps = make_step_schedule("constant", 4, 1.0)
     score = delta_field([0.0])
-    runs = sample("heun", sched, steps, score, 1, 3, seed=0,
-                  record_trajectory=True, workers=2)
-    assert len(runs) == 3
-    for i, r in enumerate(runs):
-        assert r.run_id == i
-        assert r.nfe == 4 * HEUN.stages
-        assert len(r.trajectory) == 5
-        assert r.trajectory[0][0] == 1.0
-        assert r.trajectory[-1][0] == 0.0
-        assert np.array_equal(r.trajectory[-1][1], r.final)
+    finals, trajectory, nfe = sample("heun", sched, steps, score, 1, 3, seed=0,
+                                     record_trajectory=True, workers=2)
+    assert finals.shape == (3, 1)
+    assert trajectory.shape == (5, 3, 1)
+    assert trajectory[-1].tobytes() == finals.tobytes()
+    assert nfe == 4 * HEUN.stages
+    assert sample("heun", sched, steps, score, 1, 3, seed=0)[1] is None
 
 
 def test_clip_is_applied_every_step():
@@ -390,9 +387,23 @@ def test_trajectories_join_across_chunks():
     steps = make_step_schedule("constant", 4, 1.0)
     score = delta_field([0.5, -0.5])
     one, three = (sample("ito_taylor", sched, steps, score, 2, 10, seed=4,
-                         record_trajectory=True, workers=w) for w in (1, 3))
-    assert len(one) == len(three) == 10
-    for a, b in zip(one, three):
-        assert [t for t, _ in a.trajectory] == [t for t, _ in b.trajectory]
-        assert all(xa.tobytes() == xb.tobytes()
-                   for (_, xa), (_, xb) in zip(a.trajectory, b.trajectory))
+                         record_trajectory=True, workers=w)[1] for w in (1, 3))
+    assert one.shape == (5, 10, 2)
+    assert one.tobytes() == three.tobytes()
+
+
+def test_step_plan_must_span_the_schedule():
+    # a plan over [0, 0.5] on a schedule over [0, 1] would end in one jump to 0
+    sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
+    with pytest.raises(ValueError, match=r"T=0\.5.*T=1\.0"):
+        step_table("taylor3", sched, make_step_schedule("constant", 4, 0.5))
+
+
+@pytest.mark.parametrize("kind", ["constant", "exponential"])
+def test_step_times_walk_the_table(kind):
+    sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
+    steps = make_step_schedule(kind, 7, 1.0)
+    times = steps.times
+    assert len(times) == steps.N + 1
+    assert times[0] == 1.0 and times[-1] == 0.0
+    assert list(times[:-1]) == [row.t for row in step_table("euler", sched, steps)]
