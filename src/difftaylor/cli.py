@@ -1,6 +1,8 @@
 """Command-line harness: sampling, convergence studies, and diagnostics.
 
 Subcommands: sample, order, schedule-dump, spa-sweep, symdiff-dump, fpe-demo.
+Each accepts only the options it reads (``difftaylor <command> --help`` lists
+them); any other flag exits 2.
 Every command writes CSV (or plain text for symdiff-dump) and prints a one
 line summary; ``sample --trajectory-out`` adds the states at every grid time.
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
@@ -120,10 +122,9 @@ def _cmd_order(args) -> int:
             summaries.append(f"{moment} slope={oe.slope:.3f}")
         summary = " ".join(summaries)
     else:
-        reference = args.reference.replace("-", "_")
         oe = deterministic_order(
             cfg.solver, sched, d=cfg.d, n0=args.base_steps,
-            halvings=args.halvings, seed=cfg.seed, reference=reference,
+            halvings=args.halvings, seed=cfg.seed,
         )
         for h, e in zip(oe.h_list, oe.error_list):
             lines.append(f"{oe.solver},path,{_fmt(h)},{_fmt(e)},"
@@ -187,12 +188,7 @@ def _cmd_spa_sweep(args) -> int:
 
 
 def _cmd_symdiff_dump(args) -> int:
-    text = symderiv.render_report()
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as f:
-            f.write(text)
+    _write_lines(args.out, symderiv.render_report().splitlines())
     print("symdiff-dump: ok")
     return 0
 
@@ -225,25 +221,31 @@ class ConfigError(ValueError):
     pass
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=SOLVERS)
-    p.add_argument("--schedule", choices=("tanh", "linear", "cosine"))
-    p.add_argument("--nu0", type=float)
-    p.add_argument("--nuT", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--step-schedule", dest="step_schedule",
-                   choices=("constant", "exponential"))
-    p.add_argument("--oracle", choices=("delta", "gaussian", "mixture", "idx"))
-    p.add_argument("--dataset")
-    p.add_argument("--dim", dest="d", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--clip", type=_numbers, help="lo,hi clipping interval")
-    p.add_argument("--out")
-    p.add_argument("--preset", choices=sorted(PRESETS))
+# One definition per config flag; each subcommand adds only the ones it reads.
+_CONFIG_FLAGS = {
+    "--solver": dict(choices=SOLVERS),
+    "--schedule": dict(choices=("tanh", "linear", "cosine")),
+    "--nu0": dict(type=float),
+    "--nuT": dict(type=float),
+    "--T": dict(type=float),
+    "--steps": dict(type=int),
+    "--step-schedule": dict(dest="step_schedule", choices=("constant", "exponential")),
+    "--oracle": dict(choices=("delta", "gaussian", "mixture", "idx")),
+    "--dataset": dict(),
+    "--dim": dict(dest="d", type=int),
+    "--batch": dict(type=int),
+    "--seed": dict(type=int),
+    "--clip": dict(type=_numbers, help="lo,hi clipping interval"),
+    "--preset": dict(choices=sorted(PRESETS)),
+    "--workers": dict(type=int),
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     p.add_argument("--config", help="JSON experiment config file")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--out")
+    for flag in flags:
+        p.add_argument(flag, **_CONFIG_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,27 +256,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="run a sampler and write a summary CSV")
-    _add_common(p)
+    _add_config_flags(p, *_CONFIG_FLAGS)
     p.add_argument("--trajectory-out", help="per-step trajectory CSV output path")
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("order", help="estimate a solver's convergence order")
-    _add_common(p)
+    _add_config_flags(p, "--solver", "--schedule", "--nu0", "--nuT", "--T", "--dim",
+                      "--seed", "--preset", "--workers")
     p.add_argument("--halvings", type=int, default=6)
     p.add_argument("--base-steps", type=int, default=8)
-    p.add_argument("--reference", choices=("closed-form", "fine-step"),
-                   default="closed-form")
     p.add_argument("--order-batch", type=int, default=1_000_000,
                    help="trajectories per grid point for stochastic solvers")
     p.set_defaults(fn=_cmd_order)
 
     p = sub.add_parser("schedule-dump", help="dump schedule curves as CSV")
-    _add_common(p)
+    _add_config_flags(p, "--schedule", "--nu0", "--nuT", "--T", "--preset")
     p.add_argument("--grid", type=int, default=101)
     p.set_defaults(fn=_cmd_schedule_dump)
 
     p = sub.add_parser("spa-sweep", help="single-point approximation metrics sweep")
-    _add_common(p)
+    _add_config_flags(p, "--oracle", "--dataset", "--seed")
     p.add_argument("--nu-grid", type=_numbers, default="0.001,0.01,0.1,0.5,0.9,0.99,0.999")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--raw-out", help="per-trial CSV output path")

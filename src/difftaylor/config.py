@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -60,11 +61,21 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
+        """Parse a config, rejecting unknown fields and values of the wrong type."""
         data = json.loads(text)
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(data) - known
+        hints = typing.get_type_hints(ExperimentConfig)
+        unknown = set(data) - set(hints)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            # Optional[X] allows X or null, a float field also takes an int, and
+            # no field takes a bool, which isinstance would count as an int
+            allowed = typing.get_args(hints[name]) or (hints[name],)
+            if float in allowed:
+                allowed += (int,)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ValueError(f"config field {name!r} must be {names}, got {value!r}")
         return ExperimentConfig(**data)
 
     def apply_preset(self, name: str) -> "ExperimentConfig":
@@ -115,7 +126,10 @@ class ExperimentConfig:
             return None
         if not isinstance(self.clip, (list, tuple)) or len(self.clip) != 2:
             raise ValueError(f"clip must be a [lo, hi] pair, got {self.clip}")
-        lo, hi = self.clip
+        try:
+            lo, hi = float(self.clip[0]), float(self.clip[1])
+        except (TypeError, ValueError):
+            raise ValueError(f"clip bounds must be numbers, got {self.clip}") from None
         if not lo < hi:
             raise ValueError(f"clip interval must satisfy lo < hi, got {self.clip}")
-        return (float(lo), float(hi))
+        return (lo, hi)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from difftaylor import rng
 from difftaylor.samplers import StartSpec, sample_finals
 from difftaylor.schedules import NoiseSchedule, eval_schedule, make_step_schedule
 from difftaylor.score import delta_field
@@ -67,25 +68,20 @@ def deterministic_order(
     n0: int = 8,
     halvings: int = 6,
     seed: int = 0,
-    reference: str = "closed_form",
 ) -> OrderEstimate:
-    """Global-error order of a deterministic solver on delta data at the origin."""
+    """Global-error order of a deterministic solver on delta data at the origin.
+
+    The reference is ``closed_form_final`` of the run's own start draw x_T, the
+    exact PF-ODE solution, so the measured errors are the solver's alone.
+    """
     score = delta_field(np.zeros(d))
     n_list = [n0 * 2**j for j in range(halvings + 1)]
     finals = {}
     for n in n_list:
         steps = make_step_schedule("constant", n, sched.T)
         finals[n] = sample_finals(solver, sched, steps, score, d, 1, seed)[0]
-    if reference == "closed_form":
-        # recover x_T from the run's deterministic start draw
-        from difftaylor import rng
-        x_T = rng.step_normals(seed, rng.PURPOSE_START, np.arange(1, dtype=np.uint64), 0, d)[0]
-        ref = closed_form_final(sched, x_T)
-    elif reference == "fine_step":
-        fine = make_step_schedule("constant", n_list[-1] * 32, sched.T)
-        ref = sample_finals("rk4", sched, fine, score, d, 1, seed)[0]
-    else:
-        raise ValueError(f"unknown reference {reference!r}")
+    x_T = rng.step_normals(seed, rng.PURPOSE_START, np.arange(1, dtype=np.uint64), 0, d)[0]
+    ref = closed_form_final(sched, x_T)
     h_list = [sched.T / n for n in n_list]
     errors = [float(np.linalg.norm(finals[n] - ref)) for n in n_list]
     return fit_order(solver, "path", h_list, errors)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from difftaylor.cli import main
+from difftaylor.cli import build_parser, main
 from difftaylor.config import PRESETS, ExperimentConfig
 
 
@@ -124,10 +125,13 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
     for command in ("sample", "order"):
         assert main([command, "--config", str(cfg)]) == 2
         assert "'leapfrog'" in capsys.readouterr().err
-    for clip in ("[1]", "1"):
-        cfg.write_text(f'{{"clip": {clip}}}')
+    # config values are checked against the field types; a bool is no number
+    for field, value in [("clip", "[1]"), ("clip", "1"), ("clip", '["a", "b"]'),
+                         ("steps", '"8"'), ("nu0", '"x"'), ("batch", "2.5"),
+                         ("seed", "true")]:
+        cfg.write_text(f'{{"{field}": {value}}}')
         assert main(["sample", "--config", str(cfg)]) == 2
-        assert "clip" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
     # argparse rejects these before the command runs and names the flag
     for argv, flag in [(["sample", "--solver", "not-a-solver"], "--solver"),
                        (["sample", "--clip", "1,x"], "--clip"),
@@ -141,6 +145,59 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("DSL_THREADS", "abc")
     assert main(["sample"]) == 2
     assert "DSL_THREADS" in capsys.readouterr().err
+
+
+CONFIG_FLAGS = {"--solver", "--schedule", "--nu0", "--nuT", "--T", "--steps",
+                "--step-schedule", "--oracle", "--dataset", "--dim", "--batch", "--seed",
+                "--clip", "--preset", "--workers"}
+OPTIONS = {
+    "sample": CONFIG_FLAGS | {"--config", "--out", "--trajectory-out"},
+    "order": {"--config", "--out", "--solver", "--schedule", "--nu0", "--nuT", "--T",
+              "--dim", "--seed", "--preset", "--workers", "--halvings", "--base-steps",
+              "--order-batch"},
+    "schedule-dump": {"--config", "--out", "--schedule", "--nu0", "--nuT", "--T",
+                      "--preset", "--grid"},
+    "spa-sweep": {"--config", "--out", "--oracle", "--dataset", "--seed", "--nu-grid",
+                  "--trials", "--raw-out"},
+    "symdiff-dump": {"--out"},
+    "fpe-demo": {"--particles", "--grid", "--extent", "--sigma", "--D", "--h",
+                 "--fpe-steps", "--seed", "--out"},
+}
+
+
+def test_cli_option_sets_are_pinned():
+    # each subcommand accepts exactly the options its command reads
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS
+
+
+UNREAD_FLAGS = [(command, flag) for command in ("order", "schedule-dump", "spa-sweep")
+                for flag in sorted(CONFIG_FLAGS - OPTIONS[command])] + [("order", "--reference")]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_cli_rejects_flags_the_command_does_not_read(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+
+
+def test_cli_fpe_demo(tmp_path, capsys):
+    argv = ["fpe-demo", "--particles", "2000", "--grid", "16", "--fpe-steps", "20",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    assert "tv=" in capsys.readouterr().out
+    grid = (tmp_path / "run_grid.csv").read_text().splitlines()
+    assert len(grid) == 16 and all(len(row.split(",")) == 16 for row in grid)
+    particles = (tmp_path / "run_particles.csv").read_text().splitlines()
+    assert particles[0] == "x,y" and len(particles) == 1 + 2000
+    assert main(argv + ["--h", "1e-2"]) == 2
+    assert "h=0.01 unstable" in capsys.readouterr().err
 
 
 def test_cli_missing_dataset_file(tmp_path):

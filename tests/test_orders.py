@@ -52,13 +52,3 @@ def test_deterministic_orders_land_in_expected_bands():
         est = deterministic_order(solver, sched, n0=8, halvings=6)
         assert lo <= est.slope <= hi, (solver, est.slope)
 
-
-def test_fine_step_reference_agrees_with_closed_form():
-    sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
-    a = deterministic_order("euler", sched, n0=8, halvings=3,
-                            reference="closed_form")
-    b = deterministic_order("euler", sched, n0=8, halvings=3,
-                            reference="fine_step")
-    assert a.slope == pytest.approx(b.slope, abs=0.1)
-    with pytest.raises(ValueError, match="reference"):
-        deterministic_order("euler", sched, reference="bogus")
