@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -407,3 +408,24 @@ def test_step_times_walk_the_table(kind):
     assert len(times) == steps.N + 1
     assert times[0] == 1.0 and times[-1] == 0.0
     assert list(times[:-1]) == [row.t for row in step_table("euler", sched, steps)]
+
+
+# sha256 of the (1000, 2) float64 finals of the stochastic solvers with the
+# final-step noise kept: cond-ii, 16 constant steps, exact-marginal start at
+# (2, -1), seed 5.  Pins every noise draw bit for bit at both pool sizes.
+FROZEN_STOCHASTIC_SHA256 = {
+    "euler_maruyama": "d0e2596096e2554475d95c3bd4c0d2a5554c354609b5a1ecc925dccb9e2f724c",
+    "ito_taylor": "ba85b3a16e56998038587d0ab706f0272d9a8dace0729a4c7c3c149d840c7f8b",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("solver", sorted(FROZEN_STOCHASTIC_SHA256))
+def test_stochastic_finals_frozen_sha256(solver, workers):
+    x0 = np.array([2.0, -1.0])
+    finals = sample_finals(solver, fit_tanh_schedule(1e-4, 0.99, 1.0),
+                           make_step_schedule("constant", 16, 1.0), delta_field(x0), 2,
+                           1000, seed=5, start=StartSpec(kind="exact_marginal", x0=x0),
+                           workers=workers, final_noise=True)
+    assert finals.shape == (1000, 2)
+    assert hashlib.sha256(finals.tobytes()).hexdigest() == FROZEN_STOCHASTIC_SHA256[solver]
