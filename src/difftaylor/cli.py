@@ -51,6 +51,17 @@ def _numbers(text: str) -> list[float]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """argparse type for a seed, an integer in [0, 2**64)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _workers(args) -> int:
     env = os.environ.get("DSL_THREADS")
     if env is not None:
@@ -110,6 +121,9 @@ def _cmd_order(args) -> int:
     sched = cfg.noise_schedule()
     lines = ["solver,moment,h,error,slope,r2"]
     if cfg.solver in ("euler_maruyama", "ito_taylor"):
+        if cfg.d != 1:
+            raise ConfigError(f"--dim {cfg.d}: the weak-order study of solver "
+                              f"{cfg.solver!r} runs 1-dim delta data only")
         est = stochastic_order(
             cfg.solver, sched, n0=args.base_steps, halvings=args.halvings,
             batch=args.order_batch, seed=cfg.seed, workers=_workers(args),
@@ -234,7 +248,7 @@ _CONFIG_FLAGS = {
     "--dataset": dict(),
     "--dim": dict(dest="d", type=int),
     "--batch": dict(type=int),
-    "--seed": dict(type=int),
+    "--seed": dict(type=_seed),
     "--clip": dict(type=_numbers, help="lo,hi clipping interval"),
     "--preset": dict(choices=sorted(PRESETS)),
     "--workers": dict(type=int),
@@ -293,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=float, default=5.0)
     p.add_argument("--h", type=float, default=5e-5)
     p.add_argument("--fpe-steps", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="output file prefix")
     p.set_defaults(fn=_cmd_fpe_demo)
     return parser

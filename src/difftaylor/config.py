@@ -76,6 +76,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, allowed):
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
                 raise ValueError(f"config field {name!r} must be {names}, got {value!r}")
+        if not 0 <= data.get("seed", 0) < 2**64:
+            raise ValueError(f"config field 'seed' must be in [0, 2**64), got {data['seed']}")
         return ExperimentConfig(**data)
 
     def apply_preset(self, name: str) -> "ExperimentConfig":
@@ -98,13 +100,21 @@ class ExperimentConfig:
         return make_step_schedule(self.step_schedule, self.steps, self.T,
                                   terminal_ratio=self.terminal_ratio)
 
+    def _center(self) -> np.ndarray:
+        """The delta point or Gaussian mean: ``x0``, or the origin if unset."""
+        if self.x0 is None:
+            return np.zeros(self.d)
+        try:
+            return np.asarray(self.x0, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"config field 'x0' must be a list of numbers, "
+                             f"got {self.x0!r}") from None
+
     def score_field(self) -> ScoreField:
         if self.oracle == "delta":
-            x0 = np.zeros(self.d) if self.x0 is None else np.asarray(self.x0, dtype=float)
-            return delta_field(x0)
+            return delta_field(self._center())
         if self.oracle == "gaussian":
-            mean = np.zeros(self.d) if self.x0 is None else np.asarray(self.x0, dtype=float)
-            return gaussian_field(mean, self.var)
+            return gaussian_field(self._center(), self.var)
         if self.oracle in ("mixture", "idx"):
             if self.dataset is None:
                 raise ValueError(f"oracle {self.oracle!r} requires --dataset")

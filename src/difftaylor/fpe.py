@@ -97,12 +97,13 @@ def langevin_simulate(
     """Euler-Maruyama particles for dx = -grad U dt + sqrt(2D) dB from N(0, I)."""
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    traj = np.arange(n_particles, dtype=np.uint64)
-    x = rng.step_normals(seed, rng.PURPOSE_PARTICLE, traj, 0, 2)
+    stream = rng.TrajectoryStream(seed, rng.PURPOSE_PARTICLE,
+                                  np.arange(n_particles, dtype=np.uint64))
+    x = stream.normals(0, 2)
     amp = math.sqrt(2.0 * pot.D * h)
     snaps = [(0, x.copy())]
     for i in range(1, n_steps + 1):
-        w = rng.step_normals(seed, rng.PURPOSE_PARTICLE, traj, i, 2)
+        w = stream.normals(i, 2)
         x = x - h * pot.grad(x) + amp * w
         if i % snapshot_every == 0 or i == n_steps:
             snaps.append((i, x.copy()))

@@ -4,6 +4,12 @@ Every variate is a pure function of (seed, purpose, index words), so results
 never depend on batch size, evaluation order, or worker-pool layout.  The
 mixing core is the SplitMix64 finalizer applied once per index word, which is
 statistically solid for simulation work and trivially vectorizable in numpy.
+
+The per-step normals of a trajectory hash the words (seed, purpose, traj,
+step, dim) in that order.  ``TrajectoryStream`` hashes the step-independent
+prefix (seed, purpose, traj) once, folding the scalar words with Python
+integers, and per step runs only the step and dim rounds in place; its
+variates are bit-identical to ``counter_normal`` on the same words.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = float(2.0**-53)
+_MASK = 2**64 - 1
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
@@ -30,6 +37,27 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
+
+
+def _splitmix64_int(z: int) -> int:
+    """``_splitmix64`` of one word, in Python integers."""
+    z = (z + int(_GOLDEN)) & _MASK
+    z = ((z ^ (z >> 30)) * int(_MIX1)) & _MASK
+    z = ((z ^ (z >> 27)) * int(_MIX2)) & _MASK
+    return z ^ (z >> 31)
+
+
+def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """``_splitmix64`` of ``z`` into ``z``; ``tmp`` is scratch of z's shape."""
+    z += _GOLDEN
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 def counter_bits(seed: int, *words) -> np.ndarray:
@@ -53,26 +81,62 @@ def counter_normal(seed: int, *words) -> np.ndarray:
     return ndtri(counter_uniform(seed, *words))
 
 
+class TrajectoryStream:
+    """The per-step normals of trajectories ``traj`` for one (seed, purpose).
+
+    ``normals(step, d)`` equals ``counter_normal(seed, purpose, traj[..., None],
+    step, arange(d))`` bit for bit.  The (seed, purpose, traj) prefix is hashed
+    once here and stored in ``prefix`` (shape ``traj.shape``).
+    """
+
+    def __init__(self, seed: int, purpose: int, traj):
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        h = _splitmix64_int(_splitmix64_int(int(np.uint64(seed))) ^ int(np.uint64(purpose)))
+        # a copy, so the in-place rounds neither touch the caller's array nor
+        # turn a 0-d traj into a numpy scalar
+        self.prefix = np.array(traj, dtype=np.uint64)
+        self.prefix ^= np.uint64(h)
+        _splitmix64_inplace(self.prefix, np.empty_like(self.prefix))
+
+    def normals(self, step: int, d: int) -> np.ndarray:
+        """Standard normals of shape ``(*traj.shape, d)`` at ``step``."""
+        dims = np.arange(d, dtype=np.uint64)
+        bits = np.empty(self.prefix.shape + dims.shape, dtype=np.uint64)
+        tmp = np.empty_like(bits)
+        np.bitwise_xor(self.prefix[..., None], np.uint64(step), out=bits)
+        _splitmix64_inplace(bits, tmp)
+        bits ^= dims
+        _splitmix64_inplace(bits, tmp)
+        np.right_shift(bits, np.uint64(11), out=tmp)
+        u = bits.view(np.float64)  # the bits are spent; reuse their memory
+        np.add(tmp, 0.5, out=u)
+        u *= _INV_2_53
+        return ndtri(u, out=u)
+
+
 def step_normals(seed: int, purpose: int, traj, step: int, d: int) -> np.ndarray:
     """Per-dimension standard normals for given trajectories at one step.
 
     ``traj`` is an int or an int array of trajectory indices; the result has
     shape ``(*traj.shape, d)``.
     """
-    traj = np.asarray(traj, dtype=np.uint64)
-    dims = np.arange(d, dtype=np.uint64)
-    return counter_normal(seed, purpose, traj[..., None], step, dims)
+    return TrajectoryStream(seed, purpose, traj).normals(step, d)
 
 
-def correlated_pair(seed: int, traj, step: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def correlated_pair(
+    w_stream: TrajectoryStream, u_stream: TrajectoryStream, step: int, d: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw the correlated pair (w, z) driving one stochastic refinement step.
 
-    w = u1 and z = u1/2 + u2/(2*sqrt(3)) with u1, u2 iid standard normal, so
-    that (sqrt(h) w, h sqrt(h) z) has the covariance (h, h^2/2, h^3/3) of the
+    w = u1 and z = u1/2 + u2/(2*sqrt(3)) with u1, u2 iid standard normal from
+    the two streams (``PURPOSE_STEP_W`` and ``PURPOSE_STEP_U``), so that
+    (sqrt(h) w, h sqrt(h) z) has the covariance (h, h^2/2, h^3/3) of the
     iterated Ito integrals over a step of size h.
     """
-    u1 = step_normals(seed, PURPOSE_STEP_W, traj, step, d)
-    u2 = step_normals(seed, PURPOSE_STEP_U, traj, step, d)
-    w = u1
-    z = 0.5 * u1 + (0.5 / np.sqrt(3.0)) * u2
+    w = w_stream.normals(step, d)
+    u2 = u_stream.normals(step, d)
+    z = w * 0.5
+    u2 *= 0.5 / np.sqrt(3.0)
+    z += u2
     return w, z

@@ -248,18 +248,33 @@ def _sample_chunk(
     table: list[StepRow],
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     x = _initial_state(start, sched, d, traj, seed)
-    snapshots = [x]
+    snapshots = [x] if record_trajectory else None
+    if solver in ("euler_maruyama", "ito_taylor"):
+        w_stream = rng.TrajectoryStream(seed, rng.PURPOSE_STEP_W, traj)
+    if solver == "ito_taylor":
+        u_stream = rng.TrajectoryStream(seed, rng.PURPOSE_STEP_U, traj)
     for i, row in enumerate(table):
         if solver in RK_TABLEAUX:
             x = rk_step(RK_TABLEAUX[solver], x, row.t, row.h, score, sched)
         else:
             x = row.rho * x + row.mu * score.score(x, row.t, sched)
         if final_noise or i < steps.N - 1:  # default: no noise at the final step
+            # x is fresh from the update above, so the noise adds in place:
+            # x + c_w w + c_wz (w - z) + c_z z, summed left to right
             if solver == "euler_maruyama":
-                x = x + row.c_w * rng.step_normals(seed, rng.PURPOSE_STEP_W, traj, i + 1, d)
+                w = w_stream.normals(i + 1, d)
+                w *= row.c_w
+                x += w
+                del w
             elif solver == "ito_taylor":
-                w, z = rng.correlated_pair(seed, traj, i + 1, d)
-                x = x + row.c_w * w + row.c_wz * (w - z) + row.c_z * z
+                w, z = rng.correlated_pair(w_stream, u_stream, i + 1, d)
+                x += w * row.c_w
+                w -= z
+                w *= row.c_wz
+                x += w
+                z *= row.c_z
+                x += z
+                del w, z
         if clip is not None:
             x = np.clip(x, clip[0], clip[1])
         if record_trajectory:

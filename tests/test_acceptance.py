@@ -133,7 +133,9 @@ def test_criterion_5_ddim_equals_taylor3_symbolically():
 def test_criterion_6_correlated_noise_covariance():
     t0 = time.time()
     h = 0.01
-    w, z = rng.correlated_pair(0, np.arange(1_000_000, dtype=np.uint64), 1, 1)
+    tr = np.arange(1_000_000, dtype=np.uint64)
+    w, z = rng.correlated_pair(rng.TrajectoryStream(0, rng.PURPOSE_STEP_W, tr),
+                               rng.TrajectoryStream(0, rng.PURPOSE_STEP_U, tr), 1, 1)
     wt = math.sqrt(h) * w[:, 0]
     zt = h * math.sqrt(h) * z[:, 0]
     devs = (abs(np.mean(wt * wt) / h - 1.0),

@@ -128,20 +128,27 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
     # config values are checked against the field types; a bool is no number
     for field, value in [("clip", "[1]"), ("clip", "1"), ("clip", '["a", "b"]'),
                          ("steps", '"8"'), ("nu0", '"x"'), ("batch", "2.5"),
-                         ("seed", "true")]:
+                         ("seed", "true"), ("seed", "-1"), ("x0", '["a"]')]:
         cfg.write_text(f'{{"{field}": {value}}}')
         assert main(["sample", "--config", str(cfg)]) == 2
         assert field in capsys.readouterr().err
     # argparse rejects these before the command runs and names the flag
     for argv, flag in [(["sample", "--solver", "not-a-solver"], "--solver"),
                        (["sample", "--clip", "1,x"], "--clip"),
-                       (["spa-sweep", "--nu-grid", "0.5,x"], "--nu-grid")]:
+                       (["spa-sweep", "--nu-grid", "0.5,x"], "--nu-grid"),
+                       (["sample", "--seed", "-1"], "--seed"),
+                       (["sample", "--seed", str(2**64)], "--seed"),
+                       (["fpe-demo", "--seed", "-1"], "--seed")]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
     assert main(["sample", "--clip", "1"]) == 2
     assert "clip" in capsys.readouterr().err
+    # the weak-order study runs 1-dim data only
+    assert main(["order", "--solver", "euler_maruyama", "--dim", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "--dim" in err and "'euler_maruyama'" in err
     monkeypatch.setenv("DSL_THREADS", "abc")
     assert main(["sample"]) == 2
     assert "DSL_THREADS" in capsys.readouterr().err

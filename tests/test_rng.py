@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,9 +58,32 @@ def test_moments_roughly_standard_normal():
 def test_correlated_pair_covariances():
     # (w~, z~) = (sqrt(h) w, h sqrt(h) z) must hit (h, h^2/2, h^3/3)
     h = 0.01
-    w, z = rng.correlated_pair(0, np.arange(1_000_000, dtype=np.uint64), 1, 1)
+    tr = np.arange(1_000_000, dtype=np.uint64)
+    w, z = rng.correlated_pair(rng.TrajectoryStream(0, rng.PURPOSE_STEP_W, tr),
+                               rng.TrajectoryStream(0, rng.PURPOSE_STEP_U, tr), 1, 1)
     wt = np.sqrt(h) * w[:, 0]
     zt = h * np.sqrt(h) * z[:, 0]
     assert abs(np.mean(wt * wt) / h - 1.0) < 0.01
     assert abs(np.mean(wt * zt) / (h * h / 2) - 1.0) < 0.01
     assert abs(np.mean(zt * zt) / (h**3 / 3) - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("traj", [np.uint64(3), np.arange(7, dtype=np.uint64),
+                                  np.arange(12, dtype=np.uint64).reshape(3, 4) * 1_000_003],
+                         ids=["0d", "1d", "3x4"])
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1, 2**64 - 1])
+def test_trajectory_stream_matches_counter_normal(seed, traj, d):
+    stream = rng.TrajectoryStream(seed, rng.PURPOSE_STEP_W, traj)
+    for step in (0, 1, 999):
+        got = stream.normals(step, d)
+        ref = rng.counter_normal(seed, rng.PURPOSE_STEP_W, np.asarray(traj)[..., None], step,
+                                 np.arange(d, dtype=np.uint64))
+        assert got.shape == ref.shape == np.shape(traj) + (d,)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_trajectory_stream_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        rng.TrajectoryStream(seed, rng.PURPOSE_STEP_W, np.arange(2, dtype=np.uint64))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -429,3 +431,21 @@ def test_stochastic_finals_frozen_sha256(solver, workers):
                            workers=workers, final_noise=True)
     assert finals.shape == (1000, 2)
     assert hashlib.sha256(finals.tobytes()).hexdigest() == FROZEN_STOCHASTIC_SHA256[solver]
+
+
+def test_stochastic_sampling_peak_memory():
+    # the Ito-Taylor loop holds the state, the two stream prefixes and one
+    # step's noise; a 100k-row run must peak under 8.5 (batch, d) arrays
+    batch = 100_000
+    sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
+    steps = make_step_schedule("constant", 4, 1.0)
+    run = partial(sample_finals, "ito_taylor", sched, steps, delta_field([0.0]), 1,
+                  seed=0, workers=1, final_noise=True)
+    run(batch=16)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        run(batch=batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * batch) < 8.5
