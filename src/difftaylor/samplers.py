@@ -259,22 +259,16 @@ def _sample_chunk(
         else:
             x = row.rho * x + row.mu * score.score(x, row.t, sched)
         if final_noise or i < steps.N - 1:  # default: no noise at the final step
-            # x is fresh from the update above, so the noise adds in place:
-            # x + c_w w + c_wz (w - z) + c_z z, summed left to right
+            # x is fresh from the update above, so the noise adds in place,
+            # term by term in the order of x + c_w w + c_wz (w - z) + c_z z
             if solver == "euler_maruyama":
-                w = w_stream.normals(i + 1, d)
-                w *= row.c_w
-                x += w
-                del w
+                x += row.c_w * w_stream.normals(i + 1, d)
             elif solver == "ito_taylor":
                 w, z = rng.correlated_pair(w_stream, u_stream, i + 1, d)
-                x += w * row.c_w
-                w -= z
-                w *= row.c_wz
-                x += w
-                z *= row.c_z
-                x += z
-                del w, z
+                x += row.c_w * w
+                x += row.c_wz * (w - z)
+                x += row.c_z * z
+                del w, z  # free the pair before the next score evaluation
         if clip is not None:
             x = np.clip(x, clip[0], clip[1])
         if record_trajectory:
