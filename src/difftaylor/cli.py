@@ -24,7 +24,7 @@ import numpy as np
 from difftaylor import fpe, spa, symderiv
 from difftaylor.config import PRESETS, ExperimentConfig
 from difftaylor.orders import deterministic_order, stochastic_order
-from difftaylor.samplers import SOLVERS, sample
+from difftaylor.samplers import SOLVERS, get_solver, sample
 from difftaylor.schedules import eval_schedule
 from difftaylor.score import PointCloudData
 
@@ -120,13 +120,14 @@ def _cmd_order(args) -> int:
     cfg = _config_from_args(args)
     sched = cfg.noise_schedule()
     lines = ["solver,moment,h,error,slope,r2"]
-    if cfg.solver in ("euler_maruyama", "ito_taylor"):
+    if get_solver(cfg.solver).noise:
         if cfg.d != 1:
             raise ConfigError(f"--dim {cfg.d}: the weak-order study of solver "
                               f"{cfg.solver!r} runs 1-dim delta data only")
         est = stochastic_order(
             cfg.solver, sched, n0=args.base_steps, halvings=args.halvings,
-            batch=args.order_batch, seed=cfg.seed, workers=_workers(args),
+            batch=1_000_000 if args.order_batch is None else args.order_batch,
+            seed=cfg.seed, workers=_workers(args),
         )
         summaries = []
         for moment, oe in est.items():
@@ -136,6 +137,11 @@ def _cmd_order(args) -> int:
             summaries.append(f"{moment} slope={oe.slope:.3f}")
         summary = " ".join(summaries)
     else:
+        for flag, value in (("--order-batch", args.order_batch), ("--workers", args.workers)):
+            if value is not None:
+                raise ConfigError(f"{flag}: the order study of deterministic solver "
+                                  f"{cfg.solver!r} runs one trajectory; the flag is for "
+                                  "the stochastic solvers only")
         oe = deterministic_order(
             cfg.solver, sched, d=cfg.d, n0=args.base_steps,
             halvings=args.halvings, seed=cfg.seed,
@@ -279,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "--seed", "--preset", "--workers")
     p.add_argument("--halvings", type=int, default=6)
     p.add_argument("--base-steps", type=int, default=8)
-    p.add_argument("--order-batch", type=int, default=1_000_000,
-                   help="trajectories per grid point for stochastic solvers")
+    p.add_argument("--order-batch", type=int,
+                   help="trajectories per grid point, stochastic solvers only "
+                        "(default 1000000)")
     p.set_defaults(fn=_cmd_order)
 
     p = sub.add_parser("schedule-dump", help="dump schedule curves as CSV")

@@ -7,9 +7,9 @@ statistically solid for simulation work and trivially vectorizable in numpy.
 
 The per-step normals of a trajectory hash the words (seed, purpose, traj,
 step, dim) in that order.  ``TrajectoryStream`` hashes the step-independent
-prefix (seed, purpose, traj) once, folding the scalar words with Python
-integers, and per step runs only the step and dim rounds in place; its
-variates are bit-identical to ``counter_normal`` on the same words.
+prefix (seed, purpose, traj) once and per step runs only the step and dim
+rounds; its variates are bit-identical to ``counter_normal`` on the same
+words.  ``counter_bits`` and the stream share one SplitMix64, run in place.
 """
 
 from __future__ import annotations
@@ -29,26 +29,11 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = float(2.0**-53)
-_MASK = 2**64 - 1
-
-
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = (z + _GOLDEN) & np.uint64(0xFFFFFFFFFFFFFFFF)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
-def _splitmix64_int(z: int) -> int:
-    """``_splitmix64`` of one word, in Python integers."""
-    z = (z + int(_GOLDEN)) & _MASK
-    z = ((z ^ (z >> 30)) * int(_MIX1)) & _MASK
-    z = ((z ^ (z >> 27)) * int(_MIX2)) & _MASK
-    return z ^ (z >> 31)
 
 
 def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
-    """``_splitmix64`` of ``z`` into ``z``; ``tmp`` is scratch of z's shape."""
+    """The SplitMix64 finalizer of ``z`` into ``z``; ``tmp`` is scratch of
+    z's shape.  In-place uint64 array arithmetic wraps without a warning."""
     z += _GOLDEN
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
@@ -63,10 +48,12 @@ def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
 def counter_bits(seed: int, *words) -> np.ndarray:
     """Hash (seed, words...) to uint64.  Array words broadcast together."""
     arrays = np.broadcast_arrays(*[np.asarray(w, dtype=np.uint64) for w in words])
-    with np.errstate(over="ignore"):
-        h = _splitmix64(np.uint64(seed) * np.ones_like(arrays[0]))
-        for w in arrays:
-            h = _splitmix64(h ^ w)
+    h = np.full(arrays[0].shape, np.uint64(seed))
+    tmp = np.empty_like(h)
+    _splitmix64_inplace(h, tmp)
+    for w in arrays:
+        h ^= w
+        _splitmix64_inplace(h, tmp)
     return h
 
 
@@ -92,11 +79,10 @@ class TrajectoryStream:
     def __init__(self, seed: int, purpose: int, traj):
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-        h = _splitmix64_int(_splitmix64_int(int(np.uint64(seed))) ^ int(np.uint64(purpose)))
         # a copy, so the in-place rounds neither touch the caller's array nor
         # turn a 0-d traj into a numpy scalar
         self.prefix = np.array(traj, dtype=np.uint64)
-        self.prefix ^= np.uint64(h)
+        self.prefix ^= counter_bits(seed, purpose)
         _splitmix64_inplace(self.prefix, np.empty_like(self.prefix))
 
     def normals(self, step: int, d: int) -> np.ndarray:

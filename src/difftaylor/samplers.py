@@ -8,7 +8,8 @@ S = -sqrt(nu) grad log p and step time downward from T to 0.
 Except Heun and RK4, which evaluate Runge-Kutta stages, every solver is one
 affine update per step, x <- rho x + mu S + c_w w + c_wz (w - z) + c_z z, with
 scalars that depend only on the time grid (the Taylor ones through closed-form
-score derivatives valid for near-delta data); ``step_table`` builds them.
+score derivatives valid for near-delta data).  A solver is defined in one place,
+its ``Solver`` record in ``SOLVERS``: its step-row builder, tableau and noise.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -25,15 +26,10 @@ from difftaylor import rng
 from difftaylor.schedules import NoiseSchedule, ScheduleSample, StepSchedule, eval_schedule
 from difftaylor.score import ScoreField
 
-SOLVERS = ("euler", "heun", "rk4", "ddim", "taylor2", "taylor3",
-           "euler_maruyama", "ito_taylor")
-
-
 @dataclass(frozen=True)
 class FlatCoefficients:
     rho: float
     mu: float
-    order: int
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,6 @@ class SharpStep:
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    name: str
     c: tuple[float, ...]
     a: tuple[tuple[float, ...], ...]
     b: tuple[float, ...]
@@ -60,14 +55,9 @@ class ButcherTableau:
         return len(self.b)
 
 
-HEUN = ButcherTableau(name="heun", c=(0.0, 1.0), a=((), (1.0,)), b=(0.5, 0.5))
-RK4 = ButcherTableau(
-    name="rk4",
-    c=(0.0, 0.5, 0.5, 1.0),
-    a=((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
-    b=(1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0),
-)
-RK_TABLEAUX = {"heun": HEUN, "rk4": RK4}
+HEUN = ButcherTableau(c=(0.0, 1.0), a=((), (1.0,)), b=(0.5, 0.5))
+RK4 = ButcherTableau(c=(0.0, 0.5, 0.5, 1.0), a=((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
+                     b=(1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0))
 
 
 @dataclass(frozen=True)
@@ -124,7 +114,7 @@ def taylor_flat_coeffs(s: ScheduleSample, h: float, order: int) -> FlatCoefficie
             + 0.5 * b * bd / nu
             - bdd / 3.0
         )
-    return FlatCoefficients(rho=rho, mu=mu, order=order)
+    return FlatCoefficients(rho=rho, mu=mu)
 
 
 def taylor_sharp_step(s: ScheduleSample, h: float) -> SharpStep:
@@ -177,36 +167,59 @@ def rk_step(
     return out
 
 
+@dataclass(frozen=True)
+class Solver:
+    """``row(s, h, sched, t_next)``: the ``StepRow`` fields after (t, h) from the
+    schedule sample ``s`` at t, or () for Runge-Kutta, which steps by ``tableau``.
+    ``noise``: "" (none), "w" (Euler-Maruyama) or "wz" (``rng.correlated_pair``)."""
+
+    row: Callable[[ScheduleSample, float, NoiseSchedule, float], tuple]
+    tableau: Optional[ButcherTableau] = None
+    noise: str = ""
+
+
+def _taylor_row(order, s, h, sched, t_next):
+    c = taylor_flat_coeffs(s, h, order)
+    return c.rho, c.mu / math.sqrt(s.nu)
+
+
+def _ito_taylor_row(s, h, sched, t_next):
+    st = taylor_sharp_step(s, h)
+    return st.rho, st.mu / math.sqrt(s.nu), st.c_w, st.c_wz, st.c_z
+
+
+SOLVERS = {
+    "euler": Solver(lambda s, h, sched, t_next: (
+        1.0 + 0.5 * h * s.beta, -0.5 * h * s.beta / math.sqrt(s.nu))),
+    "heun": Solver(lambda *_: (), HEUN),
+    "rk4": Solver(lambda *_: (), RK4),
+    "ddim": Solver(lambda s, h, sched, t_next: ddim_coeffs(s.nu, eval_schedule(sched, t_next).nu)),
+    "taylor2": Solver(partial(_taylor_row, 2)),
+    "taylor3": Solver(partial(_taylor_row, 3)),
+    "euler_maruyama": Solver(lambda s, h, sched, t_next: (
+        1.0 + 0.5 * h * s.beta, -h * s.beta / math.sqrt(s.nu), math.sqrt(h * s.beta)), noise="w"),
+    "ito_taylor": Solver(_ito_taylor_row, noise="wz"),
+}
+
+
+def get_solver(name: str) -> Solver:
+    """The record of ``name``; ValueError naming it if there is none."""
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}; choose from {tuple(SOLVERS)}")
+    return SOLVERS[name]
+
+
 def step_table(solver: str, sched: NoiseSchedule, steps: StepSchedule) -> list[StepRow]:
     """Per-step rows of ``solver`` at the grid times ``steps.times``."""
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    spec = get_solver(solver)
     if steps.T != sched.T:
         raise ValueError(f"step plan spans T={steps.T} but the schedule spans T={sched.T}")
-    if solver in RK_TABLEAUX and eval_schedule(sched, 0.0).nu <= 0.0:
+    if spec.tableau is not None and eval_schedule(sched, 0.0).nu <= 0.0:
         # the c = 1 stage of the last step evaluates the score at t = 0
         raise ValueError(f"solver {solver!r} needs the score at t=0, but nu(0)=0 there")
-    rows = []
     times = steps.times
-    for t, t_next, h in zip(times, times[1:], steps.steps):
-        s = eval_schedule(sched, t)
-        if solver in RK_TABLEAUX:
-            row = StepRow(t, h)
-        elif solver == "euler":
-            row = StepRow(t, h, 1.0 + 0.5 * h * s.beta, -0.5 * h * s.beta / math.sqrt(s.nu))
-        elif solver == "euler_maruyama":
-            row = StepRow(t, h, 1.0 + 0.5 * h * s.beta, -h * s.beta / math.sqrt(s.nu),
-                          c_w=math.sqrt(h * s.beta))
-        elif solver == "ddim":
-            row = StepRow(t, h, *ddim_coeffs(s.nu, eval_schedule(sched, t_next).nu))
-        elif solver == "ito_taylor":
-            st = taylor_sharp_step(s, h)
-            row = StepRow(t, h, st.rho, st.mu / math.sqrt(s.nu), st.c_w, st.c_wz, st.c_z)
-        else:
-            c = taylor_flat_coeffs(s, h, 2 if solver == "taylor2" else 3)
-            row = StepRow(t, h, c.rho, c.mu / math.sqrt(s.nu))
-        rows.append(row)
-    return rows
+    return [StepRow(t, h, *spec.row(eval_schedule(sched, t), h, sched, t_next))
+            for t, t_next, h in zip(times, times[1:], steps.steps)]
 
 
 @dataclass(frozen=True)
@@ -234,7 +247,7 @@ def _initial_state(
 
 
 def _sample_chunk(
-    solver: str,
+    solver: Solver,
     sched: NoiseSchedule,
     steps: StepSchedule,
     score: ScoreField,
@@ -249,21 +262,21 @@ def _sample_chunk(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     x = _initial_state(start, sched, d, traj, seed)
     snapshots = [x] if record_trajectory else None
-    if solver in ("euler_maruyama", "ito_taylor"):
+    if solver.noise:
         w_stream = rng.TrajectoryStream(seed, rng.PURPOSE_STEP_W, traj)
-    if solver == "ito_taylor":
+    if solver.noise == "wz":
         u_stream = rng.TrajectoryStream(seed, rng.PURPOSE_STEP_U, traj)
     for i, row in enumerate(table):
-        if solver in RK_TABLEAUX:
-            x = rk_step(RK_TABLEAUX[solver], x, row.t, row.h, score, sched)
+        if solver.tableau is not None:
+            x = rk_step(solver.tableau, x, row.t, row.h, score, sched)
         else:
             x = row.rho * x + row.mu * score.score(x, row.t, sched)
-        if final_noise or i < steps.N - 1:  # default: no noise at the final step
+        if solver.noise and (final_noise or i < steps.N - 1):  # no final-step noise by default
             # x is fresh from the update above, so the noise adds in place,
             # term by term in the order of x + c_w w + c_wz (w - z) + c_z z
-            if solver == "euler_maruyama":
+            if solver.noise == "w":
                 x += row.c_w * w_stream.normals(i + 1, d)
-            elif solver == "ito_taylor":
+            else:
                 w, z = rng.correlated_pair(w_stream, u_stream, i + 1, d)
                 x += row.c_w * w
                 x += row.c_wz * (w - z)
@@ -297,7 +310,7 @@ def _run_chunks(
         raise ValueError(f"score field dimension {score.d} does not match d={d}")
     n_chunks = workers if workers > 1 and batch >= 2 * workers else 1
     chunks = np.array_split(np.arange(batch, dtype=np.uint64), n_chunks)
-    run = partial(_sample_chunk, solver, sched, steps, score, d, seed=seed, clip=clip,
+    run = partial(_sample_chunk, SOLVERS[solver], sched, steps, score, d, seed=seed, clip=clip,
                   record_trajectory=record_trajectory, start=start,
                   final_noise=final_noise, table=table)
     if n_chunks == 1:
@@ -361,5 +374,5 @@ def sample(
         solver, sched, steps, score, d, batch, seed, clip, record_trajectory,
         start or StartSpec(), workers,
     )
-    stages = RK_TABLEAUX[solver].stages if solver in RK_TABLEAUX else 1
-    return finals, trajectory, len(table) * stages
+    tableau = SOLVERS[solver].tableau
+    return finals, trajectory, len(table) * (tableau.stages if tableau else 1)

@@ -149,6 +149,11 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["order", "--solver", "euler_maruyama", "--dim", "3"]) == 2
     err = capsys.readouterr().err
     assert "--dim" in err and "'euler_maruyama'" in err
+    # the deterministic order study runs one trajectory on one thread
+    for flag, value in [("--order-batch", "1000"), ("--workers", "2")]:
+        assert main(["order", "--solver", "rk4", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "'rk4'" in err
     monkeypatch.setenv("DSL_THREADS", "abc")
     assert main(["sample"]) == 2
     assert "DSL_THREADS" in capsys.readouterr().err

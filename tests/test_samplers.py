@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from difftaylor import rng
+from difftaylor import rng, samplers
 from difftaylor.samplers import (
     HEUN,
     RK4,
@@ -251,6 +251,28 @@ def test_sample_runs_metadata_and_trajectory():
     assert trajectory[-1].tobytes() == finals.tobytes()
     assert nfe == 4 * HEUN.stages
     assert sample("heun", sched, steps, score, 1, 3, seed=0)[1] is None
+    stages = {"heun": 2, "rk4": 4}
+    for solver in SOLVERS:
+        assert sample(solver, sched, steps, score, 1, 3, seed=0)[2] == 4 * stages.get(solver, 1)
+
+
+# grid times at which step_table evaluates the schedule on a 5-step plan: one
+# per step, DDIM also at the next grid time, Heun and RK4 also at t = 0
+STEP_TABLE_EVALS = {"ddim": 10, "heun": 6, "rk4": 6}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_step_table_schedule_evaluations(solver, monkeypatch):
+    calls = []
+
+    def counting(sched, t):
+        calls.append(t)
+        return eval_schedule(sched, t)
+
+    monkeypatch.setattr(samplers, "eval_schedule", counting)
+    sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
+    assert len(step_table(solver, sched, make_step_schedule("exponential", 5, 1.0))) == 5
+    assert len(calls) == STEP_TABLE_EVALS.get(solver, 5)
 
 
 def test_clip_is_applied_every_step():
