@@ -107,6 +107,16 @@ def test_cli_symdiff_dump(tmp_path, capsys):
     assert "Lsharp(-fsharp)" in text
 
 
+def test_cli_symdiff_dump_frozen_sha256(tmp_path):
+    # the whole exact-arithmetic report: operator table and coefficient series
+    out = tmp_path / "ops.txt"
+    assert main(["symdiff-dump", "--out", str(out)]) == 0
+    blob = out.read_bytes()
+    assert blob.count(b"\n") == 34
+    assert hashlib.sha256(blob).hexdigest() == (
+        "8287423c086465b8a0990426910788e1968c3e72db83d1e4e8c8ef814eab7af7")
+
+
 def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["sample", "--nu0", "2.0"]) == 2
     assert main(["order", "--solver", "ddim", "--preset", "cond-ii"]) == 2
