@@ -105,11 +105,6 @@ class Expr:
 
     __rmul__ = __mul__
 
-    def times_nu_pow(self, p: Number) -> "Expr":
-        """Multiply by nu^p (exact for any rational p)."""
-        q = Fraction(p)
-        return Expr({(m[0], m[1], m[2] + q, m[3]): c for m, c in self.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -121,17 +116,7 @@ class Expr:
 
     def atoms(self) -> set:
         """Names of every non-constant factor appearing in the expression."""
-        names = set()
-        for (x_pow, s_pow, nu_pow, betas) in self.terms:
-            if x_pow:
-                names.add("x")
-            if s_pow:
-                names.add("S")
-            if nu_pow:
-                names.add("nu")
-            for n, _ in betas:
-                names.add(_beta_name(n))
-        return names
+        return {name for m in self.terms for name, _ in _factors(m)}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -151,8 +136,13 @@ Expr.zero = Expr({})
 Expr.one = Expr.const(1)
 
 
-def _beta_name(n: int) -> str:
-    return "beta" if n == 0 else f"beta_d{n}"
+def _factors(m: Mono):
+    """(name, power) of each factor of a monomial: x, S, nu, then the betas."""
+    for name, p in zip(("x", "S", "nu"), m[:3]):
+        if p:
+            yield name, p
+    for n, p in m[3]:
+        yield ("beta" if n == 0 else f"beta_d{n}"), p
 
 
 def _sort_key(m: Mono):
@@ -168,15 +158,7 @@ def _render_pow(name: str, p: Fraction) -> str:
 
 
 def _render_term(m: Mono, c: Fraction) -> str:
-    factors = []
-    if m[0]:
-        factors.append(_render_pow("x", Fraction(m[0])))
-    if m[1]:
-        factors.append(_render_pow("S", Fraction(m[1])))
-    if m[2]:
-        factors.append(_render_pow("nu", m[2]))
-    for n, p in m[3]:
-        factors.append(_render_pow(_beta_name(n), p))
+    factors = [_render_pow(name, p) for name, p in _factors(m)]
     if not factors:
         return str(c)
     body = "*".join(factors)
@@ -185,10 +167,6 @@ def _render_term(m: Mono, c: Fraction) -> str:
     if c == -1:
         return "-" + body
     return f"{c}*{body}"
-
-
-def _mono_expr(m: Mono, c: Fraction) -> Expr:
-    return Expr({m: c})
 
 
 # dS/dt in forward time: (beta/(2 sqrt(nu))) x - (beta/(2 nu)) S
@@ -207,21 +185,20 @@ def differentiate(e: Expr, var: str) -> Expr:
         x_pow, s_pow, nu_pow, betas = m
         if var == "x":
             if x_pow:
-                out = out + _mono_expr(_mono(x_pow - 1, s_pow, nu_pow, betas), c * x_pow)
+                out = out + Expr({_mono(x_pow - 1, s_pow, nu_pow, betas): c * x_pow})
             if s_pow:
                 # dS/dx = nu^{-1/2}
-                out = out + _mono_expr(
-                    _mono(x_pow, s_pow - 1, nu_pow - Fraction(1, 2), betas), c * s_pow
-                )
+                nu_p = nu_pow - Fraction(1, 2)
+                out = out + Expr({_mono(x_pow, s_pow - 1, nu_p, betas): c * s_pow})
             continue
         # time derivative: product rule over the S, nu and beta factors
         if s_pow:
-            rest = _mono_expr(_mono(x_pow, s_pow - 1, nu_pow, betas), c * s_pow)
+            rest = Expr({_mono(x_pow, s_pow - 1, nu_pow, betas): c * s_pow})
             out = out + rest * _DS_DT
         if nu_pow:
             # d nu^p = p nu^{p-1} (1-nu) beta = p beta (nu^{p-1} - nu^p)
-            base = _mono_expr(_mono(x_pow, s_pow, nu_pow - 1, betas), c * nu_pow)
-            out = out + (base - base.times_nu_pow(1)) * Expr.beta()
+            base = Expr({_mono(x_pow, s_pow, nu_pow - 1, betas): c * nu_pow})
+            out = out + (base - base * Expr.nu()) * Expr.beta()
         for i, (n, p) in enumerate(betas):
             reduced = list(betas)
             if p == 1:
@@ -229,7 +206,7 @@ def differentiate(e: Expr, var: str) -> Expr:
             else:
                 reduced[i] = (n, p - 1)
             bumped = _mul_betas(tuple(reduced), ((n + 1, _ONE),))
-            out = out + _mono_expr(_mono(x_pow, s_pow, nu_pow, bumped), c * p)
+            out = out + Expr({_mono(x_pow, s_pow, nu_pow, bumped): c * p})
     return out
 
 
@@ -243,6 +220,12 @@ FSHARP = (
     + Expr.s() * Expr.beta() * Expr.nu(Fraction(-1, 2))
 )
 G = Expr.beta(0, Fraction(1, 2))
+# The operator-table bases, each with its generator's operators.
+_GRAMMAR = (
+    ("-fflat", -FFLAT, ("Lflat",)),
+    ("-fsharp", -FSHARP, ("Lsharp", "Gsharp")),
+    ("g", G, ("Lsharp", "Gsharp")),
+)
 
 
 def apply_operator(op: str, e: Expr) -> Expr:
@@ -275,10 +258,6 @@ class HSeries:
         self.order = order
         self.coeffs = {k: c for k, c in coeffs.items() if k <= order and not c.is_zero()}
 
-    @staticmethod
-    def const(e: Expr, order: int) -> "HSeries":
-        return HSeries(order, {0: e})
-
     def coeff(self, k: int) -> Expr:
         return self.coeffs.get(k, Expr.zero)
 
@@ -290,10 +269,7 @@ class HSeries:
         return HSeries(order, out)
 
     def __sub__(self, other: "HSeries") -> "HSeries":
-        return self + other.scale(-1)
-
-    def scale(self, q: Number) -> "HSeries":
-        return HSeries(self.order, {k: c * Fraction(q) for k, c in self.coeffs.items()})
+        return self + other.map(Expr.__neg__)
 
     def __mul__(self, other: "HSeries") -> "HSeries":
         order = min(self.order, other.order)
@@ -304,9 +280,6 @@ class HSeries:
                     out[k1 + k2] = out.get(k1 + k2, Expr.zero) + c1 * c2
         return HSeries(order, out)
 
-    def mul_expr(self, e: Expr) -> "HSeries":
-        return HSeries(self.order, {k: c * e for k, c in self.coeffs.items()})
-
     def map(self, fn) -> "HSeries":
         return HSeries(self.order, {k: fn(c) for k, c in self.coeffs.items()})
 
@@ -315,15 +288,14 @@ class HSeries:
         if self.coeff(0) != Expr.one:
             raise ValueError("series sqrt requires constant term 1")
         u = HSeries(self.order, {k: c for k, c in self.coeffs.items() if k > 0})
-        out = HSeries.const(Expr.one, self.order)
-        upow = HSeries.const(Expr.one, self.order)
+        out = upow = HSeries(self.order, {0: Expr.one})
         binom = _ONE
         for j in range(1, self.order + 1):
             binom *= (Fraction(1, 2) - (j - 1)) / j
             upow = upow * u
             if not upow.coeffs:
                 break
-            out = out + upow.scale(binom)
+            out = out + upow.map(lambda c: c * binom)
         return out
 
     def __eq__(self, other) -> bool:
@@ -355,7 +327,7 @@ def divide_one_minus_nu(e: Expr, max_iters: int = 10_000) -> Expr:
         if m[2] < 1:
             raise ValueError(f"expression not divisible by (1 - nu): remainder {rem}")
         # leading divisor term is -nu; quotient term = -(term)/nu
-        qt = _mono_expr((m[0], m[1], m[2] - 1, m[3]), -rem.terms[m])
+        qt = Expr({(m[0], m[1], m[2] - 1, m[3]): -rem.terms[m]})
         quotient = quotient + qt
         rem = rem - qt * (Expr.one - Expr.nu())
     raise RuntimeError("division by (1 - nu) did not terminate")
@@ -441,33 +413,22 @@ def expand_ddim(order: int = 3) -> tuple[HSeries, HSeries]:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     nu_prev = nu_backward_series(order)
-    one = HSeries.const(Expr.one, order)
+    one = HSeries(order, {0: Expr.one})
     # (1 - nu_prev)/(1 - nu) has constant term 1: sqrt is a binomial series
     ratio = (one - nu_prev).map(divide_one_minus_nu)
     rho = ratio.sqrt()
     # sqrt(nu) mu = sqrt(nu nu_prev) - nu rho; nu_prev/nu has constant term 1
-    nu_ratio = nu_prev.map(lambda e: e.times_nu_pow(-1))
-    sqrt_nu_nuprev = nu_ratio.sqrt().mul_expr(Expr.nu())
-    mu = sqrt_nu_nuprev - rho.mul_expr(Expr.nu())
+    nu_ratio = nu_prev.map(lambda e: e * Expr.nu(-1))
+    mu = (nu_ratio.sqrt() - rho).map(lambda e: e * Expr.nu())
     return rho, mu
 
 
 def eval_expr(e: Expr, bindings: dict) -> float:
     """Numeric evaluation; bindings use keys x, S, nu, beta, beta_d1, ..."""
     total = 0.0
-    for (x_pow, s_pow, nu_pow, betas), c in e.terms.items():
+    for m, c in e.terms.items():
         val = float(c)
-        for name, p in (("x", Fraction(x_pow)), ("S", Fraction(s_pow)), ("nu", nu_pow)):
-            if p == 0:
-                continue
-            if name not in bindings:
-                raise KeyError(f"unbound atom {name!r}")
-            base = bindings[name]
-            if base < 0 and p.denominator != 1:
-                raise ValueError(f"fractional power of negative {name}={base}")
-            val *= float(base) ** float(p)
-        for n, p in betas:
-            name = _beta_name(n)
+        for name, p in _factors(m):
             if name not in bindings:
                 raise KeyError(f"unbound atom {name!r}")
             base = bindings[name]
@@ -485,26 +446,17 @@ def eval_series(s: HSeries, h: float, bindings: dict) -> float:
 
 def operator_table() -> dict:
     """Every first- and second-generation operator application used by the
-    second- and third-order updates, in normal form."""
-    a_flat = -FFLAT
-    a_sharp = -FSHARP
-    table = {
-        "Lflat(-fflat)": apply_operator("Lflat", a_flat),
-        "Lsharp(-fsharp)": apply_operator("Lsharp", a_sharp),
-        "Gsharp(-fsharp)": apply_operator("Gsharp", a_sharp),
-        "Lsharp(g)": apply_operator("Lsharp", G),
-        "Gsharp(g)": apply_operator("Gsharp", G),
-    }
-    table["LflatLflat(-fflat)"] = apply_operator("Lflat", table["Lflat(-fflat)"])
-    table["LsharpLsharp(-fsharp)"] = apply_operator("Lsharp", table["Lsharp(-fsharp)"])
-    table["LsharpGsharp(-fsharp)"] = apply_operator("Lsharp", table["Gsharp(-fsharp)"])
-    table["GsharpLsharp(-fsharp)"] = apply_operator("Gsharp", table["Lsharp(-fsharp)"])
-    table["GsharpGsharp(-fsharp)"] = apply_operator("Gsharp", table["Gsharp(-fsharp)"])
-    table["LsharpLsharp(g)"] = apply_operator("Lsharp", table["Lsharp(g)"])
-    table["LsharpGsharp(g)"] = apply_operator("Lsharp", table["Gsharp(g)"])
-    table["GsharpLsharp(g)"] = apply_operator("Gsharp", table["Lsharp(g)"])
-    table["GsharpGsharp(g)"] = apply_operator("Gsharp", table["Gsharp(g)"])
-    return table
+    second- and third-order updates, in normal form: each base under its
+    generator's operators, then each of those under every outer operator."""
+    first, second = {}, {}
+    for base, e, ops in _GRAMMAR:
+        for op in ops:
+            first[f"{op}({base})"] = apply_operator(op, e)
+        for outer in ops:
+            for inner in ops:
+                second[f"{outer}{inner}({base})"] = apply_operator(
+                    outer, first[f"{inner}({base})"])
+    return first | second
 
 
 def render_report() -> str:
