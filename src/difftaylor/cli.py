@@ -120,15 +120,17 @@ def _cmd_order(args) -> int:
     cfg = _config_from_args(args)
     sched = cfg.noise_schedule()
     lines = ["solver,moment,h,error,slope,r2"]
+    # only the sizes given on the command line; each study keeps its own defaults
+    sizes = {k: v for k, v in (("n0", args.base_steps), ("halvings", args.halvings))
+             if v is not None}
     if get_solver(cfg.solver).noise:
         if cfg.d != 1:
             raise ConfigError(f"--dim {cfg.d}: the weak-order study of solver "
                               f"{cfg.solver!r} runs 1-dim delta data only")
-        est = stochastic_order(
-            cfg.solver, sched, n0=args.base_steps, halvings=args.halvings,
-            batch=1_000_000 if args.order_batch is None else args.order_batch,
-            seed=cfg.seed, workers=_workers(args),
-        )
+        if args.order_batch is not None:
+            sizes["batch"] = args.order_batch
+        est = stochastic_order(cfg.solver, sched, seed=cfg.seed, workers=_workers(args),
+                               **sizes)
         summaries = []
         for moment, oe in est.items():
             for h, e in zip(oe.h_list, oe.error_list):
@@ -142,16 +144,14 @@ def _cmd_order(args) -> int:
                 raise ConfigError(f"{flag}: the order study of deterministic solver "
                                   f"{cfg.solver!r} runs one trajectory; the flag is for "
                                   "the stochastic solvers only")
-        oe = deterministic_order(
-            cfg.solver, sched, d=cfg.d, n0=args.base_steps,
-            halvings=args.halvings, seed=cfg.seed,
-        )
+        oe = deterministic_order(cfg.solver, sched, d=cfg.d, seed=cfg.seed, **sizes)
         for h, e in zip(oe.h_list, oe.error_list):
             lines.append(f"{oe.solver},path,{_fmt(h)},{_fmt(e)},"
                          f"{_fmt(oe.slope)},{_fmt(oe.r2)}")
         summary = f"slope={oe.slope:.3f} r2={oe.r2:.5f}"
     _write_lines(cfg.out, lines)
-    print(f"order: solver={cfg.solver} halvings={args.halvings} {summary}")
+    halvings = "" if args.halvings is None else f" halvings={args.halvings}"
+    print(f"order: solver={cfg.solver}{halvings} {summary}")
     return 0
 
 
@@ -283,8 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="estimate a solver's convergence order")
     _add_config_flags(p, "--solver", "--schedule", "--nu0", "--nuT", "--T", "--dim",
                       "--seed", "--preset", "--workers")
-    p.add_argument("--halvings", type=int, default=6)
-    p.add_argument("--base-steps", type=int, default=8)
+    p.add_argument("--halvings", type=int,
+                   help="step-count doublings after the first grid (default: 6 for "
+                        "deterministic solvers, 4 for stochastic ones)")
+    p.add_argument("--base-steps", type=int,
+                   help="steps of the coarsest grid (default: 8 for deterministic "
+                        "solvers, 32 for euler_maruyama, 16 for ito_taylor)")
     p.add_argument("--order-batch", type=int,
                    help="trajectories per grid point, stochastic solvers only "
                         "(default 1000000)")
@@ -325,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected failures

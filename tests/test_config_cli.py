@@ -169,6 +169,21 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
     assert "DSL_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver,n0", [("euler_maruyama", 32), ("ito_taylor", 16)])
+def test_cli_order_runs_the_studys_own_grid(tmp_path, capsys, solver, n0):
+    # without size flags the weak-order study keeps its own n0 and 4 halvings
+    out = tmp_path / "order.csv"
+    argv = ["order", "--solver", solver, "--nu0", "1e-4", "--nuT", "0.8",
+            "--order-batch", "2000", "--workers", "1", "--out", str(out)]
+    for extra, halvings in [([], 4), (["--halvings", "2"], 2)]:
+        assert main(argv + extra) == 0
+        assert "None" not in capsys.readouterr().out
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        for moment in ("mean", "var"):
+            hs = [float(r[2]) for r in rows if r[1] == moment]
+            assert hs == [1 / (n0 * 2**j) for j in range(halvings + 1)]
+
+
 CONFIG_FLAGS = {"--solver", "--schedule", "--nu0", "--nuT", "--T", "--steps",
                 "--step-schedule", "--oracle", "--dataset", "--dim", "--batch", "--seed",
                 "--clip", "--preset", "--workers"}
