@@ -149,7 +149,7 @@ def _sort_key(m: Mono):
     return (-m[1], -m[0], -m[2], m[3])
 
 
-def _render_pow(name: str, p: Fraction) -> str:
+def _render_pow(name: str, p: Number) -> str:
     if p == 1:
         return name
     if p.denominator == 1:
