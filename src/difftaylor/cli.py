@@ -22,11 +22,11 @@ from typing import Optional
 import numpy as np
 
 from difftaylor import fpe, spa, symderiv
-from difftaylor.config import PRESETS, ExperimentConfig
+from difftaylor.config import FIELD_NAMES, PRESETS, ExperimentConfig
 from difftaylor.orders import deterministic_order, stochastic_order
-from difftaylor.samplers import SOLVERS, get_solver, sample
+from difftaylor.samplers import SOLVERS, sample
 from difftaylor.schedules import eval_schedule
-from difftaylor.score import PointCloudData
+from difftaylor.score import PointCloudData, load_point_cloud
 
 
 def _fmt(v: float) -> str:
@@ -123,7 +123,7 @@ def _cmd_order(args) -> int:
     # only the sizes given on the command line; each study keeps its own defaults
     sizes = {k: v for k, v in (("n0", args.base_steps), ("halvings", args.halvings))
              if v is not None}
-    if get_solver(cfg.solver).noise:
+    if SOLVERS[cfg.solver].noise:
         if cfg.d != 1:
             raise ConfigError(f"--dim {cfg.d}: the weak-order study of solver "
                               f"{cfg.solver!r} runs 1-dim delta data only")
@@ -183,10 +183,7 @@ def _synthetic_cloud(seed: int = 0, n: int = 100, d: int = 32) -> PointCloudData
 
 def _cmd_spa_sweep(args) -> int:
     cfg = _config_from_args(args)
-    if cfg.dataset:
-        data = cfg.point_cloud()
-    else:
-        data = _synthetic_cloud(seed=cfg.seed)
+    data = load_point_cloud(cfg.dataset) if cfg.dataset else _synthetic_cloud(seed=cfg.seed)
     result = spa.spa_sweep(data, args.nu_grid, args.trials, seed=cfg.seed,
                            raw=bool(args.raw_out))
     rows, raw_rows = result if args.raw_out else (result, None)
@@ -243,15 +240,15 @@ class ConfigError(ValueError):
 
 # One definition per config flag; each subcommand adds only the ones it reads.
 _CONFIG_FLAGS = {
-    "--solver": dict(choices=SOLVERS),
-    "--schedule": dict(choices=("tanh", "linear", "cosine")),
+    "--solver": dict(choices=FIELD_NAMES["solver"]),
+    "--schedule": dict(choices=FIELD_NAMES["schedule"]),
     "--nu0": dict(type=float),
     "--nuT": dict(type=float),
     "--T": dict(type=float),
     "--steps": dict(type=int),
-    "--step-schedule": dict(dest="step_schedule", choices=("constant", "exponential")),
-    "--oracle": dict(choices=("delta", "gaussian", "mixture", "idx")),
-    "--dataset": dict(),
+    "--step-schedule": dict(dest="step_schedule", choices=FIELD_NAMES["step_schedule"]),
+    "--oracle": dict(choices=FIELD_NAMES["oracle"]),
+    "--dataset": dict(help="CSV or IDX point cloud, told apart by content"),
     "--dim": dict(dest="d", type=int),
     "--batch": dict(type=int),
     "--seed": dict(type=_seed),
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_schedule_dump)
 
     p = sub.add_parser("spa-sweep", help="single-point approximation metrics sweep")
-    _add_config_flags(p, "--oracle", "--dataset", "--seed")
+    _add_config_flags(p, "--dataset", "--seed")
     p.add_argument("--nu-grid", type=_numbers, default="0.001,0.01,0.1,0.5,0.9,0.99,0.999")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--raw-out", help="per-trial CSV output path")

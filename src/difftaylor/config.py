@@ -9,6 +9,7 @@ from typing import Optional
 
 import numpy as np
 
+from difftaylor.samplers import SOLVERS
 from difftaylor.schedules import (
     Cosine,
     Linear,
@@ -18,11 +19,10 @@ from difftaylor.schedules import (
     make_step_schedule,
 )
 from difftaylor.score import (
-    PointCloudData,
     ScoreField,
     delta_field,
     gaussian_field,
-    load_point_cloud_csv,
+    load_point_cloud,
     mixture_field,
 )
 
@@ -32,22 +32,38 @@ PRESETS = {
     "cond-ii": (1e-4, 0.99),
 }
 
+# The noise schedule and score oracle of each name, built from a config.
+SCHEDULES = {
+    "tanh": lambda c: fit_tanh_schedule(c.nu0, c.nuT, c.T),
+    "linear": lambda c: NoiseSchedule(kind=Linear(beta0=c.beta0, beta1=c.beta1), T=c.T),
+    "cosine": lambda c: NoiseSchedule(kind=Cosine(threshold=c.threshold), T=c.T),
+}
+ORACLES = {
+    "delta": lambda c: delta_field(c._center()),
+    "gaussian": lambda c: gaussian_field(c._center(), c.var),
+    "mixture": lambda c: mixture_field(load_point_cloud(c.dataset)),
+}
+# The names each named field takes, for the config-file check and the CLI choices;
+# the step plans are the kinds make_step_schedule builds.
+FIELD_NAMES = {"solver": SOLVERS, "schedule": SCHEDULES,
+               "step_schedule": ("constant", "exponential"), "oracle": ORACLES}
+
 
 @dataclass
 class ExperimentConfig:
-    solver: str = "ddim"
-    schedule: str = "tanh"  # "tanh" | "linear" | "cosine"
+    solver: str = "ddim"  # solver, schedule, step_schedule, oracle: see FIELD_NAMES
+    schedule: str = "tanh"
     nu0: float = 1e-4
     nuT: float = 0.99
     T: float = 1.0
     beta0: float = 0.1  # linear schedule only
     beta1: float = 9.95
     threshold: float = 20.0  # cosine schedule only
-    step_schedule: str = "constant"  # "constant" | "exponential"
+    step_schedule: str = "constant"
     steps: int = 8
     terminal_ratio: float = 0.1
-    oracle: str = "delta"  # "delta" | "gaussian" | "mixture" | "idx"
-    dataset: Optional[str] = None  # CSV or IDX path for mixture/idx oracles
+    oracle: str = "delta"
+    dataset: Optional[str] = None  # CSV or IDX file, mixture oracle only
     x0: Optional[list] = None  # delta/gaussian center; defaults to the origin
     var: float = 1.0  # gaussian oracle variance
     d: int = 1
@@ -76,6 +92,9 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, allowed):
                 names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
                 raise ValueError(f"config field {name!r} must be {names}, got {value!r}")
+            if name in FIELD_NAMES and value not in FIELD_NAMES[name]:
+                raise ValueError(f"config field {name!r} must be one of "
+                                 f"{tuple(FIELD_NAMES[name])}, got {value!r}")
         if not 0 <= data.get("seed", 0) < 2**64:
             raise ValueError(f"config field 'seed' must be in [0, 2**64), got {data['seed']}")
         return ExperimentConfig(**data)
@@ -88,13 +107,7 @@ class ExperimentConfig:
         return self
 
     def noise_schedule(self) -> NoiseSchedule:
-        if self.schedule == "tanh":
-            return fit_tanh_schedule(self.nu0, self.nuT, self.T)
-        if self.schedule == "linear":
-            return NoiseSchedule(kind=Linear(beta0=self.beta0, beta1=self.beta1), T=self.T)
-        if self.schedule == "cosine":
-            return NoiseSchedule(kind=Cosine(threshold=self.threshold), T=self.T)
-        raise ValueError(f"unknown schedule {self.schedule!r}")
+        return SCHEDULES[self.schedule](self)
 
     def step_plan(self) -> StepSchedule:
         return make_step_schedule(self.step_schedule, self.steps, self.T,
@@ -111,25 +124,11 @@ class ExperimentConfig:
                              f"got {self.x0!r}") from None
 
     def score_field(self) -> ScoreField:
-        if self.oracle == "delta":
-            return delta_field(self._center())
-        if self.oracle == "gaussian":
-            return gaussian_field(self._center(), self.var)
-        if self.oracle in ("mixture", "idx"):
-            if self.dataset is None:
-                raise ValueError(f"oracle {self.oracle!r} requires --dataset")
-            data = self.point_cloud()
-            return mixture_field(data)
-        raise ValueError(f"unknown oracle {self.oracle!r}")
-
-    def point_cloud(self) -> PointCloudData:
-        if self.dataset is None:
-            raise ValueError("no dataset configured")
-        if self.oracle == "idx" or self.dataset.endswith(("-ubyte", ".idx")):
-            from difftaylor.spa import load_idx
-
-            return load_idx(self.dataset)
-        return load_point_cloud_csv(self.dataset)
+        reads_dataset = self.oracle == "mixture"
+        if reads_dataset != (self.dataset is not None):
+            raise ValueError(f"oracle {self.oracle!r} "
+                             f"{'requires' if reads_dataset else 'does not read'} --dataset")
+        return ORACLES[self.oracle](self)
 
     def clip_tuple(self) -> Optional[tuple]:
         if self.clip is None:

@@ -202,16 +202,11 @@ SOLVERS = {
 }
 
 
-def get_solver(name: str) -> Solver:
-    """The record of ``name``; ValueError naming it if there is none."""
-    if name not in SOLVERS:
-        raise ValueError(f"unknown solver {name!r}; choose from {tuple(SOLVERS)}")
-    return SOLVERS[name]
-
-
 def step_table(solver: str, sched: NoiseSchedule, steps: StepSchedule) -> list[StepRow]:
     """Per-step rows of ``solver`` at the grid times ``steps.times``."""
-    spec = get_solver(solver)
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; choose from {tuple(SOLVERS)}")
+    spec = SOLVERS[solver]
     if steps.T != sched.T:
         raise ValueError(f"step plan spans T={steps.T} but the schedule spans T={sched.T}")
     if spec.tableau is not None and eval_schedule(sched, 0.0).nu <= 0.0:

@@ -12,6 +12,7 @@ reductions ``_gmm_posterior`` and ``_gmm_log_density``; the mixture oracle,
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -52,6 +53,48 @@ class PointCloudData:
             return np.full(n, -np.log(n))
         with np.errstate(divide="ignore"):
             return np.log(self.weights)
+
+
+# big-endian IDX magic of unsigned-byte data -> number of dimensions
+IDX_MAGICS = {0x00000801: 1, 0x00000803: 3}
+
+
+def load_idx(path: str) -> PointCloudData:
+    """Load an IDX file of unsigned bytes (3-dim images or a 1-dim vector) as
+    points in [0,1]: each image is flattened and scaled by 1/255."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if len(raw) < 8:
+        raise ValueError(f"truncated IDX file: {len(raw)} bytes, need at least 8")
+    (magic,) = struct.unpack(">I", raw[:4])
+    if magic not in IDX_MAGICS:
+        raise ValueError(f"bad IDX magic 0x{magic:08x} at byte offset 0")
+    ndim = IDX_MAGICS[magic]
+    header = 4 + 4 * ndim
+    if len(raw) < header:
+        raise ValueError(f"truncated IDX header at byte offset {len(raw)}")
+    dims = struct.unpack(f">{ndim}I", raw[4:header])
+    count, per_item = dims[0], int(np.prod(dims[1:]))
+    expected = header + count * per_item
+    if len(raw) < expected:
+        raise ValueError(f"truncated IDX data at byte offset {len(raw)}, expected {expected}")
+    data = np.frombuffer(raw[header:expected], dtype=np.uint8).reshape(count, per_item)
+    return PointCloudData(points=data / 255.0)
+
+
+def load_point_cloud_csv(path: str) -> PointCloudData:
+    """Load a point cloud from CSV, one point per row."""
+    pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    return PointCloudData(points=pts)
+
+
+def load_point_cloud(path: str) -> PointCloudData:
+    """Load a dataset by its content: IDX if it starts with an IDX magic, else CSV."""
+    with open(path, "rb") as f:
+        head = f.read(4)
+    if len(head) == 4 and struct.unpack(">I", head)[0] in IDX_MAGICS:
+        return load_idx(path)
+    return load_point_cloud_csv(path)
 
 
 def _nu(sched: NoiseSchedule, t: float) -> float:
@@ -163,7 +206,3 @@ def mixture_field(data: PointCloudData) -> ScoreField:
                       fn=lambda x, t, sched: score_mixture_exact(x, t, data, sched))
 
 
-def load_point_cloud_csv(path: str) -> PointCloudData:
-    """Load a point cloud from CSV, one point per row."""
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
-    return PointCloudData(points=pts)

@@ -10,7 +10,6 @@ rel_l2 <= sqrt((1-nu)/nu) for data in a unit box.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,37 +33,6 @@ def bounds(nu: float) -> tuple[float, float]:
     """Worst-case (rel_l2, cossim) bounds for unit-box data at noise level nu."""
     r = math.sqrt((1.0 - nu) / nu)
     return r, 1.0 - 0.5 * (1.0 + r) * (1.0 - nu) / nu
-
-
-def load_idx(path: str) -> PointCloudData:
-    """Load an IDX file of unsigned bytes (images or labels) as points in [0,1].
-
-    Big-endian magic 0x00000803 (3-dim: count x rows x cols) or 0x00000801
-    (1-dim vector); each image is flattened and scaled by 1/255.
-    """
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 8:
-        raise ValueError(f"truncated IDX file: {len(raw)} bytes, need at least 8")
-    (magic,) = struct.unpack(">I", raw[:4])
-    if magic == 0x00000803:
-        ndim = 3
-    elif magic == 0x00000801:
-        ndim = 1
-    else:
-        raise ValueError(f"bad IDX magic 0x{magic:08x} at byte offset 0")
-    header = 4 + 4 * ndim
-    if len(raw) < header:
-        raise ValueError(f"truncated IDX header at byte offset {len(raw)}")
-    dims = struct.unpack(f">{ndim}I", raw[4:header])
-    count = dims[0]
-    per_item = int(np.prod(dims[1:])) if ndim > 1 else 1
-    expected = header + count * per_item
-    if len(raw) < expected:
-        raise ValueError(f"truncated IDX data at byte offset {len(raw)}, expected {expected}")
-    data = np.frombuffer(raw[header:expected], dtype=np.uint8)
-    pts = data.reshape(count, per_item).astype(np.float64) / 255.0
-    return PointCloudData(points=pts)
 
 
 def _metrics_batch(

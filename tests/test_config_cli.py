@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from difftaylor.cli import build_parser, main
-from difftaylor.config import PRESETS, ExperimentConfig
+from difftaylor.config import FIELD_NAMES, PRESETS, ExperimentConfig
 
 
 def test_config_json_round_trip():
@@ -45,6 +45,34 @@ def test_config_oracle_requires_dataset():
     cfg = ExperimentConfig(oracle="mixture")
     with pytest.raises(ValueError, match="dataset"):
         cfg.score_field()
+
+
+@pytest.mark.parametrize("field,value", [("solver", "leapfrog"), ("schedule", "sigmoid"),
+                                         ("step_schedule", "geometric"), ("oracle", "idx"),
+                                         ("oracle", "uniform")])
+def test_config_file_rejects_unknown_names(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{field}": "{value}"}}')
+    assert main(["sample", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{field}'" in err and repr(value) in err
+
+
+def test_cli_choices_are_the_config_tables():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    named = [a for p in sub.choices.values() for a in p._actions if a.dest in FIELD_NAMES]
+    assert {a.dest for a in named} == set(FIELD_NAMES)
+    assert all(a.choices is FIELD_NAMES[a.dest] for a in named)
+
+
+@pytest.mark.parametrize("oracle", ["delta", "gaussian"])
+def test_cli_dataset_needs_the_mixture_oracle(tmp_path, capsys, oracle):
+    # the dataset is named but never opened, so a missing file cannot pass
+    argv = ["sample", "--oracle", oracle, "--dataset", str(tmp_path / "missing.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--dataset" in err and repr(oracle) in err
 
 
 def test_cli_sample_writes_summary_csv(tmp_path):
@@ -129,7 +157,7 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
         assert main(["sample", "--solver", solver, "--schedule", schedule]) == 2
         err = capsys.readouterr().err
         assert f"solver '{solver}'" in err and "nu(0)=0" in err
-    # a config file bypasses argparse's choices; the sampler rejects the name
+    # a config file bypasses argparse's choices; the config check rejects the name
     cfg = tmp_path / "leapfrog.json"
     cfg.write_text('{"solver": "leapfrog"}')
     for command in ("sample", "order"):
@@ -194,8 +222,8 @@ OPTIONS = {
               "--order-batch"},
     "schedule-dump": {"--config", "--out", "--schedule", "--nu0", "--nuT", "--T",
                       "--preset", "--grid"},
-    "spa-sweep": {"--config", "--out", "--oracle", "--dataset", "--seed", "--nu-grid",
-                  "--trials", "--raw-out"},
+    "spa-sweep": {"--config", "--out", "--dataset", "--seed", "--nu-grid", "--trials",
+                  "--raw-out"},
     "symdiff-dump": {"--out"},
     "fpe-demo": {"--particles", "--grid", "--extent", "--sigma", "--D", "--h",
                  "--fpe-steps", "--seed", "--out"},

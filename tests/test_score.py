@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from difftaylor.score import (
     PointCloudData,
     delta_field,
     gaussian_field,
+    load_point_cloud,
     load_point_cloud_csv,
     mixture_field,
     posterior_weights,
@@ -240,3 +242,13 @@ def test_load_point_cloud_csv(tmp_path):
     data = load_point_cloud_csv(str(p))
     assert data.points.shape == (2, 2)
     assert data.points[1, 0] == -0.25
+
+
+def test_load_point_cloud_tells_the_format_by_content(tmp_path):
+    # the first four bytes decide, whatever the file is called
+    idx = tmp_path / "img.bin"
+    idx.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 255]))
+    assert np.array_equal(load_point_cloud(str(idx)).points, [[0.0], [1.0]])
+    csv = tmp_path / "pts.idx"
+    csv.write_text("0.5,1.0\n-0.25,2.0\n")
+    assert np.array_equal(load_point_cloud(str(csv)).points, [[0.5, 1.0], [-0.25, 2.0]])

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from difftaylor import rng
-from difftaylor.score import PointCloudData
-from difftaylor.spa import SpaReport, bounds, load_idx, spa_point_metrics, spa_sweep
+from difftaylor.score import PointCloudData, load_idx
+from difftaylor.spa import SpaReport, bounds, spa_point_metrics, spa_sweep
 
 
 def write_idx3(path, images: np.ndarray):
