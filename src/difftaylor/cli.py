@@ -2,7 +2,9 @@
 
 Subcommands: sample, order, schedule-dump, spa-sweep, symdiff-dump, fpe-demo.
 Each accepts only the options it reads (``difftaylor <command> --help`` lists
-them); any other flag exits 2.
+them); any other flag exits 2.  The names a flag takes (solver, schedule, step
+plan, oracle) come from ``config.FIELD_NAMES``, and ``--dataset`` is CSV or IDX
+by content, read by the mixture oracle and spa-sweep only.
 Every command writes CSV (or plain text for symdiff-dump) and prints a one
 line summary; ``sample --trajectory-out`` adds the states at every grid time.
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
@@ -62,6 +64,20 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive(kind):
+    """argparse type for a positive finite number of ``kind`` (int or float)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    return parse
+
+
 def _workers(args) -> int:
     env = os.environ.get("DSL_THREADS")
     if env is not None:
@@ -119,7 +135,6 @@ def _cmd_sample(args) -> int:
 def _cmd_order(args) -> int:
     cfg = _config_from_args(args)
     sched = cfg.noise_schedule()
-    lines = ["solver,moment,h,error,slope,r2"]
     # only the sizes given on the command line; each study keeps its own defaults
     sizes = {k: v for k, v in (("n0", args.base_steps), ("halvings", args.halvings))
              if v is not None}
@@ -131,13 +146,7 @@ def _cmd_order(args) -> int:
             sizes["batch"] = args.order_batch
         est = stochastic_order(cfg.solver, sched, seed=cfg.seed, workers=_workers(args),
                                **sizes)
-        summaries = []
-        for moment, oe in est.items():
-            for h, e in zip(oe.h_list, oe.error_list):
-                lines.append(f"{oe.solver},{moment},{_fmt(h)},{_fmt(e)},"
-                             f"{_fmt(oe.slope)},{_fmt(oe.r2)}")
-            summaries.append(f"{moment} slope={oe.slope:.3f}")
-        summary = " ".join(summaries)
+        summary = " ".join(f"{moment} slope={oe.slope:.3f}" for moment, oe in est.items())
     else:
         for flag, value in (("--order-batch", args.order_batch), ("--workers", args.workers)):
             if value is not None:
@@ -145,10 +154,12 @@ def _cmd_order(args) -> int:
                                   f"{cfg.solver!r} runs one trajectory; the flag is for "
                                   "the stochastic solvers only")
         oe = deterministic_order(cfg.solver, sched, d=cfg.d, seed=cfg.seed, **sizes)
-        for h, e in zip(oe.h_list, oe.error_list):
-            lines.append(f"{oe.solver},path,{_fmt(h)},{_fmt(e)},"
-                         f"{_fmt(oe.slope)},{_fmt(oe.r2)}")
+        est = {"path": oe}
         summary = f"slope={oe.slope:.3f} r2={oe.r2:.5f}"
+    lines = ["solver,moment,h,error,slope,r2"]
+    for moment, oe in est.items():
+        lines += [f"{oe.solver},{moment},{_fmt(h)},{_fmt(e)},{_fmt(oe.slope)},{_fmt(oe.r2)}"
+                  for h, e in zip(oe.h_list, oe.error_list)]
     _write_lines(cfg.out, lines)
     halvings = "" if args.halvings is None else f" halvings={args.halvings}"
     print(f"order: solver={cfg.solver}{halvings} {summary}")
@@ -212,14 +223,11 @@ def _cmd_symdiff_dump(args) -> int:
 
 def _cmd_fpe_demo(args) -> int:
     pot = fpe.GmmPotential(sigma=args.sigma, D=args.D)
-    grid0 = fpe.gaussian_grid(L=args.extent, n=args.grid)
-    hmax = fpe.max_stable_h(grid0, pot.D)
-    if args.h > hmax:
-        raise ConfigError(f"step size h={args.h} unstable; use h <= {hmax:.3e}")
+    # the grid first: its stability check fires before any particle moves
+    grids, stats = fpe.fpe_evolve(pot, fpe.gaussian_grid(L=args.extent, n=args.grid),
+                                  args.h, args.fpe_steps, snapshot_every=args.fpe_steps)
     snaps = fpe.langevin_simulate(pot, args.particles, args.h, args.fpe_steps,
                                   seed=args.seed, snapshot_every=args.fpe_steps)
-    grids, stats = fpe.fpe_evolve(pot, grid0, args.h, args.fpe_steps,
-                                  snapshot_every=args.fpe_steps)
     particles = snaps[-1][1]
     density = grids[-1][1]
     binned = fpe.bin_particles(particles, args.extent, args.grid)
@@ -299,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spa-sweep", help="single-point approximation metrics sweep")
     _add_config_flags(p, "--dataset", "--seed")
     p.add_argument("--nu-grid", type=_numbers, default="0.001,0.01,0.1,0.5,0.9,0.99,0.999")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive(int), default=200)
     p.add_argument("--raw-out", help="per-trial CSV output path")
     p.set_defaults(fn=_cmd_spa_sweep)
 
@@ -308,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_symdiff_dump)
 
     p = sub.add_parser("fpe-demo", help="Langevin vs Fokker-Planck cross-check")
-    p.add_argument("--particles", type=int, default=100_000)
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--extent", type=float, default=2.0)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--D", type=float, default=5.0)
-    p.add_argument("--h", type=float, default=5e-5)
+    p.add_argument("--particles", type=_positive(int), default=100_000)
+    p.add_argument("--grid", type=_positive(int), default=64)
+    p.add_argument("--extent", type=_positive(float), default=2.0)
+    p.add_argument("--sigma", type=_positive(float), default=0.1)
+    p.add_argument("--D", type=_positive(float), default=5.0)
+    p.add_argument("--h", type=_positive(float), default=5e-5)
     p.add_argument("--fpe-steps", type=int, default=400)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="output file prefix")

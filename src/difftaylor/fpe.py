@@ -131,7 +131,7 @@ def fpe_evolve(
     """
     hmax = max_stable_h(grid, pot.D)
     if h > hmax:
-        raise ValueError(f"unstable step size h={h}; need h <= {hmax:.3e} for this grid")
+        raise ValueError(f"step size h={h} unstable; need h <= {hmax:.3e} for this grid")
     n, dx = grid.n, grid.cell
     c = grid.centers
     X, Y = np.meshgrid(c, c, indexing="ij")

@@ -61,6 +61,13 @@ def closed_form_final(sched: NoiseSchedule, x_T: np.ndarray) -> np.ndarray:
     return math.sqrt(nu0 / nuT) * np.asarray(x_T)
 
 
+def _step_counts(n0: int, halvings: int) -> list[int]:
+    """The grids n0 * 2^j, j = 0..halvings; an order fit needs three of them."""
+    if halvings < 2:
+        raise ValueError(f"halvings must be at least 2 for an order fit, got {halvings}")
+    return [n0 * 2**j for j in range(halvings + 1)]
+
+
 def deterministic_order(
     solver: str,
     sched: NoiseSchedule,
@@ -75,7 +82,7 @@ def deterministic_order(
     exact PF-ODE solution, so the measured errors are the solver's alone.
     """
     score = delta_field(np.zeros(d))
-    n_list = [n0 * 2**j for j in range(halvings + 1)]
+    n_list = _step_counts(n0, halvings)
     finals = {}
     for n in n_list:
         steps = make_step_schedule("constant", n, sched.T)
@@ -115,7 +122,7 @@ def stochastic_order(
     nu0 = eval_schedule(sched, 0.0).nu
     exact_mean = math.sqrt(1.0 - nu0) * x0
     start = StartSpec(kind="exact_marginal", x0=np.asarray([x0]))
-    n_list = [n0 * 2**j for j in range(halvings + 1)]
+    n_list = _step_counts(n0, halvings)
     h_list, mean_errs, var_errs = [], [], []
     for n in n_list:
         steps = make_step_schedule("constant", n, sched.T)

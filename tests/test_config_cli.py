@@ -47,17 +47,6 @@ def test_config_oracle_requires_dataset():
         cfg.score_field()
 
 
-@pytest.mark.parametrize("field,value", [("solver", "leapfrog"), ("schedule", "sigmoid"),
-                                         ("step_schedule", "geometric"), ("oracle", "idx"),
-                                         ("oracle", "uniform")])
-def test_config_file_rejects_unknown_names(tmp_path, capsys, field, value):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(f'{{"{field}": "{value}"}}')
-    assert main(["sample", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert f"config field '{field}'" in err and repr(value) in err
-
-
 def test_cli_choices_are_the_config_tables():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -162,11 +151,15 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
     cfg.write_text('{"solver": "leapfrog"}')
     for command in ("sample", "order"):
         assert main([command, "--config", str(cfg)]) == 2
-        assert "'leapfrog'" in capsys.readouterr().err
-    # config values are checked against the field types; a bool is no number
+        err = capsys.readouterr().err
+        assert "config field 'solver'" in err and "'leapfrog'" in err
+    # config values are checked against the field types, a bool is no number, and
+    # a named field takes only the names of its table
     for field, value in [("clip", "[1]"), ("clip", "1"), ("clip", '["a", "b"]'),
                          ("steps", '"8"'), ("nu0", '"x"'), ("batch", "2.5"),
-                         ("seed", "true"), ("seed", "-1"), ("x0", '["a"]')]:
+                         ("seed", "true"), ("seed", "-1"), ("x0", '["a"]'),
+                         ("schedule", '"sigmoid"'), ("step_schedule", '"geometric"'),
+                         ("oracle", '"idx"'), ("oracle", '"uniform"')]:
         cfg.write_text(f'{{"{field}": {value}}}')
         assert main(["sample", "--config", str(cfg)]) == 2
         assert field in capsys.readouterr().err
@@ -176,13 +169,28 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
                        (["spa-sweep", "--nu-grid", "0.5,x"], "--nu-grid"),
                        (["sample", "--seed", "-1"], "--seed"),
                        (["sample", "--seed", str(2**64)], "--seed"),
-                       (["fpe-demo", "--seed", "-1"], "--seed")]:
+                       (["fpe-demo", "--seed", "-1"], "--seed"),
+                       (["spa-sweep", "--trials", "0"], "--trials"),
+                       (["spa-sweep", "--trials", "-1"], "--trials"),
+                       (["fpe-demo", "--particles", "0"], "--particles"),
+                       (["fpe-demo", "--grid", "0"], "--grid"),
+                       (["fpe-demo", "--extent", "-2"], "--extent"),
+                       (["fpe-demo", "--sigma", "0"], "--sigma"),
+                       (["fpe-demo", "--sigma", "-1"], "--sigma"),
+                       (["fpe-demo", "--D", "0"], "--D"),
+                       (["fpe-demo", "--D", "-1"], "--D"),
+                       (["fpe-demo", "--h", "0"], "--h"),
+                       (["fpe-demo", "--h", "nan"], "--h")]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
     assert main(["sample", "--clip", "1"]) == 2
     assert "clip" in capsys.readouterr().err
+    # too few grids for an order fit are refused before the first one runs
+    assert main(["order", "--solver", "ito_taylor", "--order-batch", "2000",
+                 "--halvings", "1"]) == 2
+    assert "halvings" in capsys.readouterr().err
     # the weak-order study runs 1-dim data only
     assert main(["order", "--solver", "euler_maruyama", "--dim", "3"]) == 2
     err = capsys.readouterr().err

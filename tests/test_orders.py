@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from difftaylor import orders
 from difftaylor.orders import (
     ERROR_FLOOR,
     closed_form_final,
     deterministic_order,
     fit_order,
+    stochastic_order,
 )
 from difftaylor.schedules import fit_tanh_schedule
 
@@ -35,6 +37,19 @@ def test_fit_order_drops_floor_points():
 def test_fit_order_requires_three_points():
     with pytest.raises(ValueError, match="insufficient"):
         fit_order("x", "path", [0.1, 0.05], [1e-20, 1e-20])
+
+
+@pytest.mark.parametrize("halvings", [0, 1])
+@pytest.mark.parametrize("study,solver", [(deterministic_order, "rk4"),
+                                          (stochastic_order, "ito_taylor")])
+def test_too_few_halvings_rejected_before_the_first_grid(monkeypatch, study, solver,
+                                                         halvings):
+    calls = []
+    monkeypatch.setattr(orders, "sample_finals", lambda *a, **k: calls.append(a))
+    sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
+    with pytest.raises(ValueError, match="halvings"):
+        study(solver, sched, halvings=halvings)
+    assert calls == []
 
 
 def test_closed_form_final_scaling():
