@@ -204,5 +204,3 @@ def gaussian_field(mean: Sequence[float], var: float) -> ScoreField:
 def mixture_field(data: PointCloudData) -> ScoreField:
     return ScoreField(d=data.d, kind="mixture",
                       fn=lambda x, t, sched: score_mixture_exact(x, t, data, sched))
-
-
