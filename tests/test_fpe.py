@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from difftaylor.fpe import (
     stationary_grid,
     tv_distance,
 )
+from difftaylor.score import _gmm_logits, _gmm_posterior
 
 
 def test_potential_gradient_vanishes_at_origin():
@@ -54,6 +56,43 @@ def test_potential_matches_loop_reference():
     grad = sum(w[:, i, None] * (xy - c) for i, c in enumerate(pot.centers)) / pot.sigma**2
     np.testing.assert_allclose(pot.energy(xy), energy, rtol=1e-12, atol=0)
     np.testing.assert_allclose(pot.grad(xy), grad, rtol=1e-12, atol=0)
+
+
+def test_potential_frozen_bits():
+    # one sha256 over Langevin snapshots, a Fokker-Planck run that clamps, and
+    # energy and grad on a mesh: any reordering of the potential arithmetic moves it
+    pot = GmmPotential()
+    h = hashlib.sha256()
+    for step, x in langevin_simulate(pot, 2000, 5e-5, 50, seed=3, snapshot_every=25):
+        h.update(step.to_bytes(4, "little"))
+        h.update(x.tobytes())
+    grid = gaussian_grid(L=2.0, n=16)
+    snaps, stats = fpe_evolve(pot, grid, 0.5 * max_stable_h(grid, pot.D), 50,
+                              snapshot_every=25)
+    for step, g in snaps:
+        h.update(step.to_bytes(4, "little"))
+        h.update(g.values.tobytes())
+    h.update(np.float64(stats["max_clamp_fraction"]).tobytes())
+    c = np.linspace(-1.5, 1.5, 9)
+    mesh = np.stack(np.meshgrid(c, c, indexing="ij"), axis=-1)
+    h.update(pot.energy(mesh).tobytes())
+    h.update(pot.grad(mesh).tobytes())
+    assert h.hexdigest() == (
+        "e9fc7f4a2e5df9d5c65540b445e41c4f604b3fbc9aa3c29a0b776d80d48d2eea")
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3])
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 2), (7, 2), (8, 2), (10_000, 2)])
+def test_potential_grad_matches_posterior_kernel_bits(sigma, shape):
+    # the gradient is the score module's posterior pull, byte for byte, at every
+    # row count (BLAS takes other paths below 8 rows) and at a 1-D point
+    pot = GmmPotential(sigma=sigma)
+    xy = np.random.default_rng(shape[0]).uniform(-1.5, 1.5, size=shape)
+    if xy.ndim == 1:
+        xy[:] = 0.0
+    var = sigma**2
+    _, mean = _gmm_posterior(_gmm_logits(xy, pot.centers, var), pot.centers)
+    assert pot.grad(xy).tobytes() == ((xy - mean) / var).tobytes()
 
 
 def test_energy_minimum_near_wells():
