@@ -1,11 +1,14 @@
 """Langevin particles versus an explicit Fokker-Planck solver in 2-D.
 
 The potential is a negative log Gaussian mixture with five wells on the unit
-circle; grad U is the posterior pull of the score module's mixture kernel with
-the wells as centers and var = sigma^2.  Particles follow dx = -grad U dt +
-sqrt(2D) dB; the density follows dp/dt = div(grad U p + D grad p).  Both start
-from N(0, I) and should agree, which is checked by total-variation distance
-after binning the particles on the solver grid.
+circle; grad U is the posterior pull (x - sum_k w_k c_k) / sigma^2 toward the
+wells.  Both are computed well-major, one pass per well over the coordinate
+columns: for five wells in 2-D that is several times faster than a
+(rows, wells, 2) difference tensor, with the same bits.  Particles follow
+dx = -grad U dt + sqrt(2D) dB; the density follows
+dp/dt = div(grad U p + D grad p).  Both start from N(0, I) and should agree,
+which is checked by total-variation distance after binning the particles on
+the solver grid.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from difftaylor import rng
-from difftaylor.score import _gmm_log_density, _gmm_logits, _gmm_posterior
 
 # conservative explicit stencil is stable for h <= _CFL_CONST * cell^2 / D
 _CFL_CONST = 0.2
@@ -35,14 +38,28 @@ class GmmPotential:
             ang = 2.0 * math.pi * np.arange(5) / 5.0
             object.__setattr__(self, "centers", np.stack([np.cos(ang), np.sin(ang)], axis=1))
 
+    def _logits(self, xy: np.ndarray) -> np.ndarray:
+        """-|x - c_k|^2 / (2 sigma^2) for each well k, well-major: shape (k, ...).
+
+        The squares are summed in column order, as ``np.sum`` does over a short
+        last axis, so the bits match the score module's (..., k, d) kernel.
+        """
+        cols = [xy[..., j] for j in range(xy.shape[-1])]
+        return np.stack([-0.5 * sum((x - cj) ** 2 for x, cj in zip(cols, c)) / self.sigma**2
+                         + 0.0 for c in self.centers])
+
     def energy(self, xy: np.ndarray) -> np.ndarray:
         """U at points of shape (..., 2)."""
-        return -_gmm_log_density(xy, self.centers, self.sigma**2)
+        return -logsumexp(self._logits(np.asarray(xy, dtype=np.float64)), axis=0)
 
     def grad(self, xy: np.ndarray) -> np.ndarray:
         """grad U = (x - sum_k w_k c_k) / sigma^2, the posterior pull toward the wells."""
-        _, mean = _gmm_posterior(_gmm_logits(xy, self.centers, self.sigma**2), self.centers)
-        return (xy - mean) / self.sigma**2
+        xy = np.asarray(xy, dtype=np.float64)
+        w = self._logits(xy)
+        w -= w.max(axis=0)
+        np.exp(w, out=w)
+        w /= w.sum(axis=0)
+        return (xy - np.moveaxis(w, 0, -1) @ self.centers) / self.sigma**2
 
 
 @dataclass

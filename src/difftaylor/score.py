@@ -6,8 +6,9 @@ and scale convention: for a single data point x0 the oracle returns
 (x - sqrt(1-nu) x0)/sqrt(nu), which grows like x/sqrt(nu) near t=0.
 
 The one softmax over squared distances is the kernel ``_gmm_logits`` with its
-reductions ``_gmm_posterior`` and ``_gmm_log_density``; the mixture oracle,
-``spa`` and the ``fpe`` potential all call it.
+reductions ``_gmm_posterior`` and ``_gmm_log_density``; the mixture oracle and
+``spa`` call it.  The ``fpe`` potential computes the same softmax well-major
+for its five wells, and a test holds its gradient to this kernel's bits.
 """
 
 from __future__ import annotations
