@@ -9,7 +9,8 @@ Every command writes CSV (or plain text for symdiff-dump) and prints a one
 line summary; ``sample --trajectory-out`` adds the states at every grid time.
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
 Worker-pool size comes from --workers, overridden by the DSL_THREADS
-environment variable; results never depend on it.
+environment variable; either must be at least 1, and results never depend
+on it.
 """
 
 from __future__ import annotations
@@ -82,11 +83,14 @@ def _workers(args) -> int:
     env = os.environ.get("DSL_THREADS")
     if env is not None:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ConfigError(f"DSL_THREADS must be an integer, got {env!r}") from None
+        if workers < 1:
+            raise ConfigError(f"DSL_THREADS must be at least 1, got {env!r}")
+        return workers
     if args.workers is not None:
-        return max(1, args.workers)
+        return args.workers
     return os.cpu_count() or 1
 
 
@@ -262,7 +266,7 @@ _CONFIG_FLAGS = {
     "--seed": dict(type=_seed),
     "--clip": dict(type=_numbers, help="lo,hi clipping interval"),
     "--preset": dict(choices=sorted(PRESETS)),
-    "--workers": dict(type=int),
+    "--workers": dict(type=_positive(int)),
 }
 
 
@@ -291,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--halvings", type=int,
                    help="step-count doublings after the first grid (default: 6 for "
                         "deterministic solvers, 4 for stochastic ones)")
-    p.add_argument("--base-steps", type=int,
+    p.add_argument("--base-steps", type=_positive(int),
                    help="steps of the coarsest grid (default: 8 for deterministic "
                         "solvers, 32 for euler_maruyama, 16 for ito_taylor)")
-    p.add_argument("--order-batch", type=int,
+    p.add_argument("--order-batch", type=_positive(int),
                    help="trajectories per grid point, stochastic solvers only "
                         "(default 1000000)")
     p.set_defaults(fn=_cmd_order)
@@ -322,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_positive(float), default=0.1)
     p.add_argument("--D", type=_positive(float), default=5.0)
     p.add_argument("--h", type=_positive(float), default=5e-5)
-    p.add_argument("--fpe-steps", type=int, default=400)
+    p.add_argument("--fpe-steps", type=_positive(int), default=400)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="output file prefix")
     p.set_defaults(fn=_cmd_fpe_demo)

@@ -180,7 +180,13 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
                        (["fpe-demo", "--D", "0"], "--D"),
                        (["fpe-demo", "--D", "-1"], "--D"),
                        (["fpe-demo", "--h", "0"], "--h"),
-                       (["fpe-demo", "--h", "nan"], "--h")]:
+                       (["fpe-demo", "--h", "nan"], "--h"),
+                       (["fpe-demo", "--fpe-steps", "0"], "--fpe-steps"),
+                       (["fpe-demo", "--fpe-steps", "-1"], "--fpe-steps"),
+                       (["order", "--base-steps", "0"], "--base-steps"),
+                       (["order", "--order-batch", "0"], "--order-batch"),
+                       (["sample", "--workers", "-5"], "--workers"),
+                       (["order", "--workers", "0"], "--workers")]:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -200,9 +206,10 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
         assert main(["order", "--solver", "rk4", flag, value]) == 2
         err = capsys.readouterr().err
         assert flag in err and "'rk4'" in err
-    monkeypatch.setenv("DSL_THREADS", "abc")
-    assert main(["sample"]) == 2
-    assert "DSL_THREADS" in capsys.readouterr().err
+    for threads in ("abc", "0", "-3"):
+        monkeypatch.setenv("DSL_THREADS", threads)
+        assert main(["sample"]) == 2
+        assert "DSL_THREADS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("solver,n0", [("euler_maruyama", 32), ("ito_taylor", 16)])
