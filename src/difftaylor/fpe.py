@@ -42,7 +42,8 @@ class GmmPotential:
         """-|x - c_k|^2 / (2 sigma^2) for each well k, well-major: shape (k, ...).
 
         The squares are summed in column order, as ``np.sum`` does over a short
-        last axis, so the bits match the score module's (..., k, d) kernel.
+        last axis, and ``+ 0.0`` stands for the kernel's zero log weights, so
+        the bits match the score module's (..., k, d) kernel.
         """
         cols = [xy[..., j] for j in range(xy.shape[-1])]
         return np.stack([-0.5 * sum((x - cj) ** 2 for x, cj in zip(cols, c)) / self.sigma**2
