@@ -113,6 +113,10 @@ def _cmd_sample(args) -> int:
     sched = cfg.noise_schedule()
     steps = cfg.step_plan()
     score = cfg.score_field()
+    if score.d != cfg.d:
+        source = f"dataset {cfg.dataset}" if cfg.dataset else "x0"
+        raise ConfigError(f"--dim {cfg.d} does not match the dimension {score.d} of the "
+                          f"{score.kind} oracle's {source}; pass --dim {score.d}")
     finals, trajectory, nfe = sample(
         cfg.solver, sched, steps, score, cfg.d, cfg.batch, cfg.seed,
         clip=cfg.clip_tuple(), record_trajectory=args.trajectory_out is not None,
@@ -257,12 +261,12 @@ _CONFIG_FLAGS = {
     "--nu0": dict(type=float),
     "--nuT": dict(type=float),
     "--T": dict(type=float),
-    "--steps": dict(type=int),
+    "--steps": dict(type=_positive(int)),
     "--step-schedule": dict(dest="step_schedule", choices=FIELD_NAMES["step_schedule"]),
     "--oracle": dict(choices=FIELD_NAMES["oracle"]),
     "--dataset": dict(help="CSV or IDX point cloud, told apart by content"),
-    "--dim": dict(dest="d", type=int),
-    "--batch": dict(type=int),
+    "--dim": dict(dest="d", type=_positive(int)),
+    "--batch": dict(type=_positive(int)),
     "--seed": dict(type=_seed),
     "--clip": dict(type=_numbers, help="lo,hi clipping interval"),
     "--preset": dict(choices=sorted(PRESETS)),

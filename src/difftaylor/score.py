@@ -6,9 +6,12 @@ and scale convention: for a single data point x0 the oracle returns
 (x - sqrt(1-nu) x0)/sqrt(nu), which grows like x/sqrt(nu) near t=0.
 
 The one softmax over squared distances is the kernel ``_gmm_logits`` with its
-reductions ``_gmm_posterior`` and ``_gmm_log_density``; the mixture oracle and
-``spa`` call it.  The ``fpe`` potential computes the same softmax well-major
-for its five wells, and a test holds its gradient to this kernel's bits.
+reduction ``_gmm_posterior``; the mixture oracle and ``spa`` call it.  The
+mixture posterior builds the logits a block of rows at a time, so its (rows,
+n, d) difference tensor stays near ``BLOCK_BYTES``, then takes the softmax and
+the mean over all rows at once; its bits do not depend on the block size.  The
+``fpe`` potential computes the same softmax well-major for its five wells, and
+a test holds its gradient to this kernel's bits.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, softmax
+from scipy.special import softmax
 
 from difftaylor.schedules import NoiseSchedule, eval_schedule
+
+# size of the difference tensor of one row block of the mixture posterior
+BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -33,13 +39,16 @@ class PointCloudData:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         object.__setattr__(self, "points", pts)
-        if pts.shape[0] == 0:
+        if pts.size == 0:
             raise ValueError("point cloud must be nonempty")
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            raise ValueError(f"point cloud row {bad[0]} holds a nan or inf")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64)
             if w.shape != (pts.shape[0],):
                 raise ValueError("weights must have one entry per point")
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+            if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
                 raise ValueError("weights must be nonnegative and sum to 1")
             object.__setattr__(self, "weights", w)
 
@@ -128,7 +137,8 @@ def score_gaussian(
 def _gmm_logits(x: np.ndarray, centers: np.ndarray, var: float, log_weights=0.0) -> np.ndarray:
     """log w_i - |x - c_i|^2 / (2 var) over the centers c_i, shape (..., n)."""
     diff = np.asarray(x, dtype=np.float64)[..., None, :] - centers  # (..., n, d)
-    return -0.5 * np.sum(diff * diff, axis=-1) / var + log_weights
+    np.multiply(diff, diff, out=diff)
+    return -0.5 * np.sum(diff, axis=-1) / var + log_weights
 
 
 def _gmm_posterior(logits: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,19 +147,24 @@ def _gmm_posterior(logits: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray,
     return w, w @ centers
 
 
-def _gmm_log_density(x: np.ndarray, centers: np.ndarray, var: float) -> np.ndarray:
-    """log sum_i exp(-|x - c_i|^2 / (2 var)), shape (...)."""
-    return logsumexp(_gmm_logits(x, centers, var), axis=-1)
-
-
 def _log_posterior(x: np.ndarray, nu: float, data: PointCloudData) -> np.ndarray:
     """Unnormalized log posterior weights over data points, shape (..., n)."""
     return _gmm_logits(x, np.sqrt(1.0 - nu) * data.points, nu, data.log_weights)
 
 
 def _mixture_posterior(x: np.ndarray, nu: float, data: PointCloudData):
-    """(posterior weights, exact mixture score) of x at noise level nu."""
-    w, mean_center = _gmm_posterior(_log_posterior(x, nu, data), np.sqrt(1.0 - nu) * data.points)
+    """(posterior weights, exact mixture score) of x at noise level nu.
+
+    The logits are built one block of rows at a time; they are row-invariant,
+    and the softmax and the mean see all rows, so the bits match one call.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    rows = x.reshape(-1, x.shape[-1])
+    step = max(1, BLOCK_BYTES // data.points.nbytes)
+    logits = np.concatenate([_log_posterior(rows[i:i + step], nu, data)
+                             for i in range(0, max(len(rows), 1), step)])
+    w, mean_center = _gmm_posterior(logits.reshape(x.shape[:-1] + logits.shape[-1:]),
+                                    np.sqrt(1.0 - nu) * data.points)
     return w, (x - mean_center) / np.sqrt(nu)
 
 

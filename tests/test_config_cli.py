@@ -138,8 +138,6 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
     assert main(["sample", "--nu0", "2.0"]) == 2
     assert main(["order", "--solver", "ddim", "--preset", "cond-ii"]) == 2
     assert main(["schedule-dump", "--grid", "1"]) == 2
-    assert main(["sample", "--batch", "0"]) == 2
-    assert main(["sample", "--dim", "0"]) == 2
     # the last Heun/RK4 stage evaluates the score at t=0, where nu(0)=0 here
     for solver, schedule in [("heun", "linear"), ("rk4", "cosine")]:
         capsys.readouterr()
@@ -163,6 +161,12 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
         cfg.write_text(f'{{"{field}": {value}}}')
         assert main(["sample", "--config", str(cfg)]) == 2
         assert field in capsys.readouterr().err
+    # a config file bypasses argparse's sizes too; the sampler's checks still hold
+    for text, message in [('{"batch": 0}', "at least 1"), ('{"d": 0}', "at least 1"),
+                          ('{"steps": 0}', "positive integer")]:
+        cfg.write_text(text)
+        assert main(["sample", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
     # argparse rejects these before the command runs and names the flag
     for argv, flag in [(["sample", "--solver", "not-a-solver"], "--solver"),
                        (["sample", "--clip", "1,x"], "--clip"),
@@ -170,6 +174,13 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
                        (["sample", "--seed", "-1"], "--seed"),
                        (["sample", "--seed", str(2**64)], "--seed"),
                        (["fpe-demo", "--seed", "-1"], "--seed"),
+                       (["sample", "--dim", "0"], "--dim"),
+                       (["sample", "--dim", "-1"], "--dim"),
+                       (["sample", "--batch", "0"], "--batch"),
+                       (["sample", "--batch", "-1"], "--batch"),
+                       (["sample", "--steps", "0"], "--steps"),
+                       (["sample", "--steps", "-1"], "--steps"),
+                       (["order", "--dim", "-1"], "--dim"),
                        (["spa-sweep", "--trials", "0"], "--trials"),
                        (["spa-sweep", "--trials", "-1"], "--trials"),
                        (["fpe-demo", "--particles", "0"], "--particles"),
@@ -283,6 +294,28 @@ def test_cli_fpe_demo(tmp_path, capsys):
 def test_cli_missing_dataset_file(tmp_path):
     assert main(["sample", "--oracle", "mixture",
                  "--dataset", str(tmp_path / "missing.csv")]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_dataset(tmp_path, capsys, bad):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"0.1,0.2\n0.3,0.4\n0.5,{bad}\n0.7,{bad}\n")
+    out = tmp_path / "spa.csv"
+    assert main(["spa-sweep", "--dataset", str(pts), "--nu-grid", "0.5",
+                 "--trials", "4", "--out", str(out)]) == 2
+    assert "row 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_dim_must_match_the_dataset(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.1,0.2\n0.3,0.4\n")
+    argv = ["sample", "--oracle", "mixture", "--dataset", str(pts), "--steps", "4",
+            "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--dim 1" in err and "dimension 2" in err and str(pts) in err
+    assert main(argv + ["--dim", "2"]) == 0
 
 
 def run_cli(args, env_extra=None, cwd=None):

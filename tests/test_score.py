@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,9 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from difftaylor import rng, score
 from difftaylor.schedules import eval_schedule, fit_tanh_schedule
 from difftaylor.score import (
     PointCloudData,
+    _gmm_posterior,
+    _log_posterior,
+    _mixture_posterior,
     delta_field,
     gaussian_field,
     load_point_cloud,
@@ -24,6 +29,7 @@ from difftaylor.score import (
     score_gaussian,
     score_mixture_exact,
 )
+from difftaylor.spa import spa_sweep
 
 # constant schedule with nu identically 0.36, for frozen-value checks
 SCHED_036 = fit_tanh_schedule(0.36, 0.36, 1.0)
@@ -232,8 +238,69 @@ def test_point_cloud_weight_validation():
         PointCloudData(points=pts, weights=np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="weights"):
         PointCloudData(points=pts, weights=np.array([1.0]))
+    with pytest.raises(ValueError, match="weights"):
+        PointCloudData(points=pts, weights=np.array([np.nan, 1.0]))
     with pytest.raises(ValueError, match="nonempty"):
         PointCloudData(points=np.zeros((0, 1)))
+    with pytest.raises(ValueError, match="nonempty"):
+        PointCloudData(points=np.zeros((3, 0)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_cloud_rejects_non_finite_points(bad):
+    pts = np.zeros((5, 3))
+    pts[3, 1] = pts[4, 0] = bad
+    with pytest.raises(ValueError, match="row 3 "):
+        PointCloudData(points=pts)
+
+
+def _unblocked(x, nu, data):
+    """The mixture posterior from one call over all rows, as the blocks must match."""
+    w, mean = _gmm_posterior(_log_posterior(x, nu, data), np.sqrt(1.0 - nu) * data.points)
+    return w, (x - mean) / np.sqrt(nu)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n,d,block", [(2000, 64, None), (30, 5, 4)])
+def test_blocked_posterior_matches_one_call_bytes(monkeypatch, weighted, n, d, block):
+    pts = rng.counter_uniform(2, 1234, np.arange(n, dtype=np.uint64)[:, None],
+                              np.arange(d, dtype=np.uint64))
+    w = None
+    if weighted:
+        w = np.ones(n)
+        w[::3] = 0.0
+        w /= w.sum()
+    data = PointCloudData(points=pts, weights=w)
+    if block is not None:
+        monkeypatch.setattr(score, "BLOCK_BYTES", block * data.points.nbytes)
+    step = max(1, score.BLOCK_BYTES // data.points.nbytes)
+    shapes = [(d,), (3, 5, d)] + [(r, d) for r in (0, 1, step - 1, step, step + 1, 3 * step + 2)]
+    for shape in shapes:
+        rows = int(np.prod(shape[:-1]))
+        x = rng.counter_normal(3, 7, np.arange(rows, dtype=np.uint64)[:, None],
+                               np.arange(d, dtype=np.uint64)).reshape(shape)
+        for nu in (2.65e-4, 0.0269, 0.973):
+            got, want = _mixture_posterior(x, nu, data), _unblocked(x, nu, data)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (shape, nu)
+
+
+def test_mixture_oracle_memory_stays_within_a_few_blocks():
+    # one (100, 2000, 64) difference tensor would be 98 MiB; a block is 8 MiB
+    pts = rng.counter_uniform(0, 1234, np.arange(2000, dtype=np.uint64)[:, None],
+                              np.arange(64, dtype=np.uint64))
+    data = PointCloudData(points=pts)
+    x = rng.counter_normal(0, 7, np.arange(100, dtype=np.uint64)[:, None],
+                           np.arange(64, dtype=np.uint64))
+    tracemalloc.start()
+    try:
+        for run in (lambda: score_mixture_exact(x, 0.3, data, SCHED_05),
+                    lambda: spa_sweep(data, (0.1, 0.9), 100, seed=1)):
+            tracemalloc.reset_peak()
+            run()
+            assert tracemalloc.get_traced_memory()[1] < 3 * score.BLOCK_BYTES
+    finally:
+        tracemalloc.stop()
 
 
 def test_load_point_cloud_csv(tmp_path):
