@@ -9,6 +9,7 @@ beta = lam' tanh(lam/2), which keeps beta/sqrt(nu) = lam' bounded.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -43,20 +44,20 @@ class NoiseSchedule:
     T: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleSample:
     """All scalar schedule values at one time t.
 
     ``clamped`` is set when the cosine beta hit its threshold; the derivative
     fields are then taken from the unclamped expression and must not be fed to
-    Taylor-scheme coefficients.
+    Taylor-scheme coefficients.  Frozen because ``eval_schedule`` hands the
+    same memoized sample to every caller.
     """
 
     t: float
     lam: float
     lam_d1: float
     lam_d2: float
-    lam_d3: float
     nu: float
     beta: float
     beta_d1: float
@@ -119,29 +120,23 @@ def _eval_tanh_softplus(p: TanhSoftplus, t: float) -> ScheduleSample:
         - 0.5 * lam_d1 ** 3 * th * sech2
     )
     return ScheduleSample(
-        t=t, lam=lam, lam_d1=lam_d1, lam_d2=lam_d2, lam_d3=lam_d3,
+        t=t, lam=lam, lam_d1=lam_d1, lam_d2=lam_d2,
         nu=nu, beta=beta, beta_d1=beta_d1, beta_d2=beta_d2,
     )
 
 
-def _lam_fields(nu: float, beta: float, beta_d1: float, beta_d2: float):
+def _lam_fields(nu: float, beta: float, beta_d1: float):
     """Derive lam and its derivatives from nu/beta via lam = 2 artanh(sqrt(nu)).
 
     Uses lam' = beta/sqrt(nu) and nu' = (1-nu) beta.  Singular at nu=0.
     """
     if nu <= 0.0:
-        return 0.0, math.inf, math.inf, math.inf
+        return 0.0, math.inf, math.inf
     rn = math.sqrt(nu)
     lam = 2.0 * math.atanh(min(rn, 1.0 - 1e-16))
     lam_d1 = beta / rn
     lam_d2 = beta_d1 / rn - beta * beta * (1.0 - nu) / (2.0 * nu * rn)
-    lam_d3 = (
-        beta_d2 / rn
-        - 2.0 * beta * beta_d1 * (1.0 - nu) / (nu * rn)
-        + beta ** 3 * (1.0 - nu) / (2.0 * nu * rn)
-        + 0.75 * beta ** 3 * (1.0 - nu) ** 2 / (nu * nu * rn)
-    )
-    return lam, lam_d1, lam_d2, lam_d3
+    return lam, lam_d1, lam_d2
 
 
 def _eval_linear(p: Linear, t: float) -> ScheduleSample:
@@ -149,9 +144,9 @@ def _eval_linear(p: Linear, t: float) -> ScheduleSample:
     nu = 1.0 - math.exp(-p.beta0 * t - p.beta1 * t * t)
     beta_d1 = 2.0 * p.beta1
     beta_d2 = 0.0
-    lam, l1, l2, l3 = _lam_fields(nu, beta, beta_d1, beta_d2)
+    lam, l1, l2 = _lam_fields(nu, beta, beta_d1)
     return ScheduleSample(
-        t=t, lam=lam, lam_d1=l1, lam_d2=l2, lam_d3=l3,
+        t=t, lam=lam, lam_d1=l1, lam_d2=l2,
         nu=nu, beta=beta, beta_d1=beta_d1, beta_d2=beta_d2,
     )
 
@@ -167,19 +162,30 @@ def _eval_cosine(p: Cosine, t: float) -> ScheduleSample:
     sec2 = 1.0 / (c * c) if c > 0.0 else math.inf
     beta_d1 = 0.5 * math.pi ** 2 * sec2
     beta_d2 = 0.5 * math.pi ** 3 * sec2 * (s / c if c > 0.0 else math.inf)
-    lam, l1, l2, l3 = _lam_fields(nu, beta, beta_d1, beta_d2)
+    lam, l1, l2 = _lam_fields(nu, beta, beta_d1)
     return ScheduleSample(
-        t=t, lam=lam, lam_d1=l1, lam_d2=l2, lam_d3=l3,
+        t=t, lam=lam, lam_d1=l1, lam_d2=l2,
         nu=nu, beta=beta, beta_d1=beta_d1, beta_d2=beta_d2, clamped=clamped,
     )
 
 
 def eval_schedule(sched: NoiseSchedule, t: float) -> ScheduleSample:
-    """Evaluate every schedule quantity at time t in [0, T]."""
+    """Evaluate every schedule quantity at time t in [0, T].
+
+    Samples are memoized per (kind, t) in a bounded cache, so repeated times
+    (every RK stage, every trajectory of a study) cost a lookup.
+    """
     if not (-1e-12 <= t <= sched.T + 1e-12):
         raise ValueError(f"t={t} outside schedule domain [0, {sched.T}]")
     t = min(max(t, 0.0), sched.T)
-    kind = sched.kind
+    if t == 0.0:  # 0.0 and -0.0 are one cache key; each keeps its own sign uncached
+        return _evaluate.__wrapped__(sched.kind, t)
+    return _evaluate(sched.kind, t)
+
+
+# typed: an int or numpy t gets its own entry, so the sample keeps its type
+@functools.lru_cache(maxsize=4096, typed=True)
+def _evaluate(kind: ScheduleKind, t: float) -> ScheduleSample:
     if isinstance(kind, TanhSoftplus):
         return _eval_tanh_softplus(kind, t)
     if isinstance(kind, Linear):

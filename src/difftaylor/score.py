@@ -16,6 +16,7 @@ a test holds its gradient to this kernel's bits.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -119,7 +120,7 @@ def score_delta(x: np.ndarray, t: float, x0: np.ndarray, sched: NoiseSchedule) -
     nu = _nu(sched, t)
     x = np.asarray(x, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
-    return (x - np.sqrt(1.0 - nu) * x0) / np.sqrt(nu)
+    return (x - math.sqrt(1.0 - nu) * x0) / math.sqrt(nu)
 
 
 def score_gaussian(
@@ -131,7 +132,7 @@ def score_gaussian(
     nu = _nu(sched, t)
     x = np.asarray(x, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
-    return np.sqrt(nu) * (x - np.sqrt(1.0 - nu) * mean) / ((1.0 - nu) * var + nu)
+    return math.sqrt(nu) * (x - math.sqrt(1.0 - nu) * mean) / ((1.0 - nu) * var + nu)
 
 
 def _gmm_logits(x: np.ndarray, centers: np.ndarray, var: float, log_weights=0.0) -> np.ndarray:

@@ -48,10 +48,11 @@ def _mul_betas(a, b):
 class Expr:
     """Normal-form symbolic expression: {monomial: rational coefficient}."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_numeric")
 
     def __init__(self, terms: dict):
         self.terms = {m: c for m, c in terms.items() if c != 0}
+        self._numeric = None  # float form for eval_expr, filled on first use
 
     # constructors
     @staticmethod
@@ -423,18 +424,27 @@ def expand_ddim(order: int = 3) -> tuple[HSeries, HSeries]:
     return rho, mu
 
 
+def _numeric_terms(e: Expr) -> tuple:
+    """Each term of ``e`` as (float coefficient, ((name, float power,
+    fractional?), ...)), converted from the rationals once per Expr."""
+    if e._numeric is None:
+        e._numeric = tuple(
+            (float(c), tuple((name, float(p), p.denominator != 1) for name, p in _factors(m)))
+            for m, c in e.terms.items())
+    return e._numeric
+
+
 def eval_expr(e: Expr, bindings: dict) -> float:
     """Numeric evaluation; bindings use keys x, S, nu, beta, beta_d1, ..."""
     total = 0.0
-    for m, c in e.terms.items():
-        val = float(c)
-        for name, p in _factors(m):
+    for val, factors in _numeric_terms(e):
+        for name, p, fractional in factors:
             if name not in bindings:
                 raise KeyError(f"unbound atom {name!r}")
             base = bindings[name]
-            if base < 0 and p.denominator != 1:
+            if base < 0 and fractional:
                 raise ValueError(f"fractional power of negative {name}={base}")
-            val *= float(base) ** float(p)
+            val *= float(base) ** p
         total += val
     return total
 

@@ -326,6 +326,27 @@ def run_cli(args, env_extra=None, cwd=None):
                           env=env, cwd=cwd, capture_output=True, text=True)
 
 
+def test_import_builds_no_parser_and_fills_no_cache():
+    code = ("import difftaylor.cli, difftaylor.schedules as s; "
+            "print(s._evaluate.cache_info().currsize, difftaylor.cli._parser.cache_info().currsize)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "0"]
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    fresh, seeded, after = (tmp_path / f"{tag}.csv" for tag in ("fresh", "seeded", "after"))
+    r = run_cli(["sample", "--out", str(fresh)])
+    assert r.returncode == 0, r.stderr
+    assert main(["sample", "--seed", "3", "--batch", "2", "--out", str(seeded)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--batch", "0"])
+    assert exc.value.code == 2
+    assert main(["sample", "--out", str(after)]) == 0
+    assert seeded.read_bytes() != fresh.read_bytes()
+    assert after.read_bytes() == fresh.read_bytes()
+
+
 def test_cli_outputs_independent_of_thread_pool(tmp_path):
     outs = []
     for threads in ("1", "4"):

@@ -47,7 +47,7 @@ T_QUARTER = math.log(4.0 / 3.0)
 def synthetic_sample(beta, beta_d1=0.0, beta_d2=0.0, nu=0.5, t=0.5):
     return ScheduleSample(
         t=t, lam=2 * math.atanh(math.sqrt(nu)), lam_d1=beta / math.sqrt(nu),
-        lam_d2=0.0, lam_d3=0.0, nu=nu, beta=beta, beta_d1=beta_d1,
+        lam_d2=0.0, nu=nu, beta=beta, beta_d1=beta_d1,
         beta_d2=beta_d2,
     )
 
@@ -106,7 +106,7 @@ def test_taylor_flat_rejects_bad_order_and_clamped():
     with pytest.raises(ValueError, match="order"):
         taylor_flat_coeffs(s, 0.1, 4)
     clamped = ScheduleSample(
-        t=0.9, lam=1.0, lam_d1=1.0, lam_d2=0.0, lam_d3=0.0, nu=0.5,
+        t=0.9, lam=1.0, lam_d1=1.0, lam_d2=0.0, nu=0.5,
         beta=20.0, beta_d1=0.0, beta_d2=0.0, clamped=True,
     )
     with pytest.raises(ValueError, match="clamped"):

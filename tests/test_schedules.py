@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from difftaylor import schedules
 from difftaylor.schedules import (
     Cosine,
     Linear,
@@ -172,7 +174,7 @@ def test_lipschitz_form_beta_over_sqrt_nu_is_lam_dot(t):
 @given(t=st.floats(min_value=0.02, max_value=0.98))
 @settings(max_examples=50, deadline=None)
 def test_lam_derivative_fields_consistent(t):
-    # lam_d2/lam_d3 derived from nu/beta must match finite differences of lam_d1
+    # lam_d2 derived from nu/beta must match finite differences of lam_d1
     for sched in (fit_tanh_schedule(1e-3, 0.9, 1.0),
                   NoiseSchedule(kind=Linear(beta0=0.5, beta1=2.0), T=1.0)):
         d = 1e-5
@@ -190,3 +192,48 @@ def test_tanh_nu_monotone_and_in_range():
         assert 0.0 < nu < 1.0
         assert nu > last
         last = nu
+
+
+UNCACHED = {TanhSoftplus: schedules._eval_tanh_softplus, Linear: schedules._eval_linear,
+            Cosine: schedules._eval_cosine}
+
+
+@pytest.mark.parametrize("sched", [
+    fit_tanh_schedule(1e-4, 0.99, 1.0),
+    NoiseSchedule(kind=Linear(beta0=0.1, beta1=9.95), T=1.0),
+    NoiseSchedule(kind=Cosine(threshold=20.0), T=1.0),
+], ids=["tanh", "linear", "cosine"])
+def test_memoized_samples_equal_the_uncached_evaluation(sched):
+    T = sched.T
+    # (asked, evaluated): both ends, -0.0, the int 1 after the float 1.0, a
+    # clamped cosine time, just outside the domain on either side, and one
+    # time asked twice
+    cases = [(0.0, 0.0), (T, T), (-0.0, -0.0), (1, 1), (0.999, 0.999), (-1e-13, 0.0),
+             (T + 1e-13, T), (0.37, 0.37), (0.37, 0.37)]
+    for asked, at in cases:
+        got = eval_schedule(sched, asked)
+        want = UNCACHED[type(sched.kind)](sched.kind, at)
+        # repr tells -0.0 from 0.0 and matches nan with nan
+        assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want)), asked
+    assert eval_schedule(sched, 0.37) is eval_schedule(sched, 0.37)
+
+
+def test_schedule_memo_stays_bounded():
+    sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
+    n = schedules._evaluate.cache_info().maxsize + 100
+    for i in range(n):
+        eval_schedule(sched, (i + 1) / (n + 1))
+    info = schedules._evaluate.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def test_shared_samples_are_frozen():
+    s = eval_schedule(fit_tanh_schedule(1e-4, 0.99, 1.0), 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.nu = 0.0
+
+
+def test_eval_rejects_unknown_kind():
+    for t in (0.0, 0.5):
+        with pytest.raises(TypeError, match="unknown schedule kind"):
+            eval_schedule(NoiseSchedule(kind="bogus", T=1.0), t)
