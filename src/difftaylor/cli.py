@@ -9,8 +9,8 @@ Every command writes CSV (or plain text for symdiff-dump) and prints a one
 line summary; ``sample --trajectory-out`` adds the states at every grid time.
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
 Worker-pool size comes from --workers, overridden by the DSL_THREADS
-environment variable; either must be at least 1, and results never depend
-on it.
+environment variable; either must be at least 1, and results do not depend
+on it, except for the mixture oracle on chunks of fewer than 8 rows.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def _positive(kind):
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}") from None
         if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
     return parse
 
@@ -261,7 +261,7 @@ _CONFIG_FLAGS = {
     "--schedule": dict(choices=FIELD_NAMES["schedule"]),
     "--nu0": dict(type=float),
     "--nuT": dict(type=float),
-    "--T": dict(type=float),
+    "--T": dict(type=_positive(float)),
     "--steps": dict(type=_positive(int)),
     "--step-schedule": dict(dest="step_schedule", choices=FIELD_NAMES["step_schedule"]),
     "--oracle": dict(choices=FIELD_NAMES["oracle"]),

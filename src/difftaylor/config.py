@@ -11,6 +11,7 @@ import numpy as np
 
 from difftaylor.samplers import SOLVERS
 from difftaylor.schedules import (
+    STEP_PLANS,
     Cosine,
     Linear,
     NoiseSchedule,
@@ -43,10 +44,9 @@ ORACLES = {
     "gaussian": lambda c: gaussian_field(c._center(), c.var),
     "mixture": lambda c: mixture_field(load_point_cloud(c.dataset)),
 }
-# The names each named field takes, for the config-file check and the CLI choices;
-# the step plans are the kinds make_step_schedule builds.
+# The names each named field takes, for the config-file check and the CLI choices.
 FIELD_NAMES = {"solver": SOLVERS, "schedule": SCHEDULES,
-               "step_schedule": ("constant", "exponential"), "oracle": ORACLES}
+               "step_schedule": STEP_PLANS, "oracle": ORACLES}
 
 
 @dataclass

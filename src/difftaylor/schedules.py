@@ -38,10 +38,18 @@ class Cosine:
 ScheduleKind = Union[TanhSoftplus, Linear, Cosine]
 
 
+def _check_horizon(T: float) -> None:
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     kind: ScheduleKind
     T: float
+
+    def __post_init__(self):
+        _check_horizon(self.T)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,11 +75,9 @@ class ScheduleSample:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    kind: str  # "constant" | "exponential"
     N: int
     T: float
     steps: tuple[float, ...]
-    terminal_ratio: float = 0.1
 
     @property
     def times(self) -> tuple[float, ...]:
@@ -91,8 +97,7 @@ def fit_tanh_schedule(nu0: float, nuT: float, T: float) -> NoiseSchedule:
         raise ValueError(f"nuT must lie in (0,1), got {nuT}")
     if nu0 > nuT:
         raise ValueError(f"nu0 must not exceed nuT, got nu0={nu0} nuT={nuT}")
-    if not T > 0.0:
-        raise ValueError(f"T must be positive, got {T}")
+    _check_horizon(T)
     r0 = math.sqrt(nu0)
     rT = math.sqrt(nuT)
     A = 2.0 * r0 / (1.0 - r0)
@@ -195,6 +200,22 @@ def _evaluate(kind: ScheduleKind, t: float) -> ScheduleSample:
     raise TypeError(f"unknown schedule kind {kind!r}")
 
 
+def _constant_steps(N: int, T: float, terminal_ratio: float) -> tuple[float, ...]:
+    return tuple(T / N for _ in range(N))
+
+
+def _exponential_steps(N: int, T: float, terminal_ratio: float) -> tuple[float, ...]:
+    if not (0.0 < terminal_ratio < 1.0):
+        raise ValueError(f"terminal_ratio must lie in (0,1), got {terminal_ratio}")
+    r = terminal_ratio ** (1.0 / N)
+    h1 = T * (1.0 - r) / (1.0 - r ** N)
+    return tuple(h1 * r ** i for i in range(N))
+
+
+# The step sizes h_1..h_N of each step plan name, from (N, T, terminal_ratio).
+STEP_PLANS = {"constant": _constant_steps, "exponential": _exponential_steps}
+
+
 def make_step_schedule(
     kind: str, N: int, T: float, terminal_ratio: float = 0.1
 ) -> StepSchedule:
@@ -206,16 +227,7 @@ def make_step_schedule(
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    if not T > 0.0:
-        raise ValueError(f"T must be positive, got {T}")
-    if kind == "constant":
-        steps = tuple(T / N for _ in range(N))
-    elif kind == "exponential":
-        if not (0.0 < terminal_ratio < 1.0):
-            raise ValueError(f"terminal_ratio must lie in (0,1), got {terminal_ratio}")
-        r = terminal_ratio ** (1.0 / N)
-        h1 = T * (1.0 - r) / (1.0 - r ** N)
-        steps = tuple(h1 * r ** i for i in range(N))
-    else:
+    _check_horizon(T)
+    if kind not in STEP_PLANS:
         raise ValueError(f"unknown step schedule kind {kind!r}")
-    return StepSchedule(kind=kind, N=N, T=T, steps=steps, terminal_ratio=terminal_ratio)
+    return StepSchedule(N=N, T=T, steps=STEP_PLANS[kind](N, T, terminal_ratio))

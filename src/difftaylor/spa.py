@@ -94,6 +94,8 @@ def spa_sweep(
         raise ValueError("nu grid must be nonempty")
     if any(not (0.0 < nu < 1.0) for nu in nu_grid):
         raise ValueError("nu grid values must lie in (0,1)")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     pts = data.points
     if len(pts) > subsample_cap:
         sel = (

@@ -161,6 +161,11 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
         cfg.write_text(f'{{"{field}": {value}}}')
         assert main(["sample", "--config", str(cfg)]) == 2
         assert field in capsys.readouterr().err
+    # a non-finite horizon is refused by the schedule of every name
+    for schedule in FIELD_NAMES["schedule"]:
+        cfg.write_text(f'{{"T": Infinity, "schedule": "{schedule}"}}')
+        assert main(["sample", "--config", str(cfg)]) == 2
+        assert "T must be positive and finite, got inf" in capsys.readouterr().err
     # a config file bypasses argparse's sizes too; the sampler's checks still hold
     for text, message in [('{"batch": 0}', "at least 1"), ('{"d": 0}', "at least 1"),
                           ('{"steps": 0}', "positive integer")]:
@@ -181,6 +186,10 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
                        (["sample", "--steps", "0"], "--steps"),
                        (["sample", "--steps", "-1"], "--steps"),
                        (["order", "--dim", "-1"], "--dim"),
+                       (["sample", "--T", "inf"], "--T"),
+                       (["sample", "--T", "0"], "--T"),
+                       (["order", "--solver", "euler", "--T", "inf"], "--T"),
+                       (["schedule-dump", "--T", "inf"], "--T"),
                        (["spa-sweep", "--trials", "0"], "--trials"),
                        (["spa-sweep", "--trials", "-1"], "--trials"),
                        (["fpe-demo", "--particles", "0"], "--particles"),

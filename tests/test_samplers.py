@@ -384,7 +384,7 @@ def test_step_rows_match_reference_updates(kind, solver):
     for t, h in [(1.0, 0.1), (0.6, 0.05), (0.3, 0.2)]:
         # the first row of a two-step plan starting at t steps to t - h
         sched = NoiseSchedule(kind=kind, T=t)
-        row = step_table(solver, sched, StepSchedule("constant", 2, t, (h, t - h)))[0]
+        row = step_table(solver, sched, StepSchedule(2, t, (h, t - h)))[0]
         s = eval_schedule(sched, t)
         noise = (0.0, 0.0, 0.0)
         if solver == "euler":
@@ -407,14 +407,29 @@ def test_step_rows_match_reference_updates(kind, solver):
         assert (row.c_w, row.c_wz, row.c_z) == noise
 
 
-def test_trajectories_join_across_chunks():
+def test_trajectories_join_across_chunks(monkeypatch):
+    # with blocks of 3 rows, 10 trajectories run as blocks of 3, 3, 2 and 2
+    # rows at either pool size, and every solver's finals and trajectory
+    # equal the one-block run byte for byte
     sched = fit_tanh_schedule(1e-3, 0.9, 1.0)
     steps = make_step_schedule("constant", 4, 1.0)
     score = delta_field([0.5, -0.5])
-    one, three = (sample("ito_taylor", sched, steps, score, 2, 10, seed=4,
-                         record_trajectory=True, workers=w)[1] for w in (1, 3))
-    assert one.shape == (5, 10, 2)
-    assert one.tobytes() == three.tobytes()
+    run = partial(sample, sched=sched, steps=steps, score=score, d=2, batch=10, seed=4,
+                  record_trajectory=True)
+    whole = {solver: run(solver) for solver in SOLVERS}
+    sizes = []
+    chunk = samplers._sample_chunk
+    monkeypatch.setattr(samplers, "TRAJECTORY_BLOCK_BYTES", 3 * 8 * 2)
+    monkeypatch.setattr(samplers, "_sample_chunk",
+                        lambda *a, **kw: sizes.append(len(a[5])) or chunk(*a, **kw))
+    for solver, (finals, trajectory, _) in whole.items():
+        assert trajectory.shape == (5, 10, 2)
+        for workers in (1, 3):
+            sizes.clear()
+            blocked = run(solver, workers=workers)
+            assert sorted(sizes) == [2, 2, 3, 3]
+            assert blocked[0].tobytes() == finals.tobytes()
+            assert blocked[1].tobytes() == trajectory.tobytes()
 
 
 def test_step_plan_must_span_the_schedule():
@@ -471,3 +486,21 @@ def test_stochastic_sampling_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak / (8 * batch) < 8.5
+
+
+def test_large_batch_peak_memory_is_bounded_by_blocks():
+    # beyond one block per worker the sampler holds the finals, the pool's
+    # blocks and their per-step temporaries, not worker-sized chunks
+    batch, d, workers = 200_000, 1, 2
+    sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
+    steps = make_step_schedule("constant", 4, 1.0)
+    run = partial(sample_finals, "ito_taylor", sched, steps, delta_field([0.0]), d,
+                  seed=0, workers=workers)
+    run(batch=16)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        run(batch=batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * batch * d * 8 + 8 * workers * samplers.TRAJECTORY_BLOCK_BYTES

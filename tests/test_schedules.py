@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from difftaylor import schedules
+from difftaylor.config import FIELD_NAMES
 from difftaylor.schedules import (
     Cosine,
     Linear,
@@ -124,6 +125,21 @@ def test_step_schedule_exponential_two_steps():
 def test_step_schedule_rejects_zero_steps():
     with pytest.raises(ValueError, match="N"):
         make_step_schedule("constant", 0, 1.0)
+
+
+def test_step_plans_are_named_once():
+    assert FIELD_NAMES["step_schedule"] is schedules.STEP_PLANS
+    with pytest.raises(ValueError, match="unknown step schedule kind 'geometric'"):
+        make_step_schedule("geometric", 4, 1.0)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+def test_horizon_must_be_positive_and_finite(T):
+    with pytest.raises(ValueError, match="T must be positive and finite"):
+        make_step_schedule("constant", 4, T)
+    for kind in (Linear(beta0=0.1, beta1=9.95), Cosine()):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            NoiseSchedule(kind=kind, T=T)
 
 
 @given(

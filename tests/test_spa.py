@@ -185,3 +185,6 @@ def test_sweep_validates_grid():
         spa_sweep(data, [], trials=1)
     with pytest.raises(ValueError, match="lie in"):
         spa_sweep(data, [1.5], trials=1)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            spa_sweep(data, [0.5], trials)
