@@ -117,7 +117,7 @@ def _cmd_sample(args) -> int:
     if score.d != cfg.d:
         source = f"dataset {cfg.dataset}" if cfg.dataset else "x0"
         raise ConfigError(f"--dim {cfg.d} does not match the dimension {score.d} of the "
-                          f"{score.kind} oracle's {source}; pass --dim {score.d}")
+                          f"{cfg.oracle} oracle's {source}; pass --dim {score.d}")
     finals, trajectory, nfe = sample(
         cfg.solver, sched, steps, score, cfg.d, cfg.batch, cfg.seed,
         clip=cfg.clip_tuple(), record_trajectory=args.trajectory_out is not None,

@@ -31,12 +31,11 @@ class GmmPotential:
 
     sigma: float = 0.1
     D: float = 5.0
-    centers: np.ndarray = field(default=None)
+    centers: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.centers is None:
-            ang = 2.0 * math.pi * np.arange(5) / 5.0
-            object.__setattr__(self, "centers", np.stack([np.cos(ang), np.sin(ang)], axis=1))
+        ang = 2.0 * math.pi * np.arange(5) / 5.0
+        object.__setattr__(self, "centers", np.stack([np.cos(ang), np.sin(ang)], axis=1))
 
     def _logits(self, xy: np.ndarray) -> np.ndarray:
         """-|x - c_k|^2 / (2 sigma^2) for each well k, well-major: shape (k, ...).
@@ -87,8 +86,12 @@ class DensityGrid:
 def gaussian_grid(L: float = 2.0, n: int = 64, var: float = 1.0) -> DensityGrid:
     """Standard-normal-ish initial density, normalized on the grid."""
     c = -L + (np.arange(n) + 0.5) * (2.0 * L / n)
-    gx = np.exp(-0.5 * c * c / var)
+    with np.errstate(over="ignore"):  # c * c may overflow; exp(-inf) = 0 is then right
+        gx = np.exp(-0.5 * c * c / var)
     vals = np.outer(gx, gx)
+    if not vals.any():
+        raise ValueError(f"grid extent L={L} is too wide for {n} cells: the initial "
+                         "density underflows to 0 in every cell")
     grid = DensityGrid(L=L, n=n, values=vals)
     grid.values /= grid.mass
     return grid

@@ -18,7 +18,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,21 +33,16 @@ TRAJECTORY_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
-class FlatCoefficients:
-    rho: float
-    mu: float
-
-
-@dataclass(frozen=True)
-class SharpStep:
-    """Stochastic Taylor update pieces: x <- rho x + mu S/sqrt(nu) + noise,
-    noise = c_w w + c_wz (w - z) + c_z z with correlated normals (w, z)."""
+class TaylorStep:
+    """One Taylor update x <- rho x + mu S/sqrt(nu) + noise, with
+    noise = c_w w + c_wz (w - z) + c_z z over correlated normals (w, z);
+    the deterministic steps carry no noise."""
 
     rho: float
     mu: float
-    c_w: float
-    c_wz: float
-    c_z: float
+    c_w: float = 0.0
+    c_wz: float = 0.0
+    c_z: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,7 @@ RK4 = ButcherTableau(c=(0.0, 0.5, 0.5, 1.0), a=((), (0.5,), (0.0, 0.5), (0.0, 0.
 @dataclass(frozen=True)
 class StepRow:
     """x <- rho x + mu S(x, t) + noise from t to t - h, the noise as in
-    ``SharpStep``; rho and mu are None for the Runge-Kutta solvers."""
+    ``TaylorStep``; rho and mu are None for the Runge-Kutta solvers."""
     t: float
     h: float
     rho: Optional[float] = None
@@ -104,7 +99,7 @@ def _require_taylor_ready(s: ScheduleSample) -> None:
         )
 
 
-def taylor_flat_coeffs(s: ScheduleSample, h: float, order: int) -> FlatCoefficients:
+def taylor_flat_coeffs(s: ScheduleSample, h: float, order: int) -> TaylorStep:
     """Deterministic Taylor update coefficients through h^order (order 2 or 3)."""
     if order not in (2, 3):
         raise ValueError(f"order must be 2 or 3, got {order}")
@@ -120,10 +115,10 @@ def taylor_flat_coeffs(s: ScheduleSample, h: float, order: int) -> FlatCoefficie
             + 0.5 * b * bd / nu
             - bdd / 3.0
         )
-    return FlatCoefficients(rho=rho, mu=mu)
+    return TaylorStep(rho=rho, mu=mu)
 
 
-def taylor_sharp_step(s: ScheduleSample, h: float) -> SharpStep:
+def taylor_sharp_step(s: ScheduleSample, h: float) -> TaylorStep:
     """Stochastic Taylor update coefficients (weak order 2)."""
     _require_taylor_ready(s)
     b, bd, nu = s.beta, s.beta_d1, s.nu
@@ -131,7 +126,7 @@ def taylor_sharp_step(s: ScheduleSample, h: float) -> SharpStep:
     mu = -b * h + 0.5 * bd * h * h
     rb = math.sqrt(b)
     h32 = h * math.sqrt(h)
-    return SharpStep(
+    return TaylorStep(
         rho=rho,
         mu=mu,
         c_w=rb * math.sqrt(h),
@@ -184,14 +179,9 @@ class Solver:
     noise: str = ""
 
 
-def _taylor_row(order, s, h, sched, t_next):
-    c = taylor_flat_coeffs(s, h, order)
-    return c.rho, c.mu / math.sqrt(s.nu)
-
-
-def _ito_taylor_row(s, h, sched, t_next):
-    st = taylor_sharp_step(s, h)
-    return st.rho, st.mu / math.sqrt(s.nu), st.c_w, st.c_wz, st.c_z
+def _taylor_row(step: TaylorStep, s: ScheduleSample) -> tuple:
+    """The ``StepRow`` fields of ``step``, its mu rescaled to multiply S."""
+    return step.rho, step.mu / math.sqrt(s.nu), step.c_w, step.c_wz, step.c_z
 
 
 SOLVERS = {
@@ -200,11 +190,11 @@ SOLVERS = {
     "heun": Solver(lambda *_: (), HEUN),
     "rk4": Solver(lambda *_: (), RK4),
     "ddim": Solver(lambda s, h, sched, t_next: ddim_coeffs(s.nu, eval_schedule(sched, t_next).nu)),
-    "taylor2": Solver(partial(_taylor_row, 2)),
-    "taylor3": Solver(partial(_taylor_row, 3)),
+    "taylor2": Solver(lambda s, h, *_: _taylor_row(taylor_flat_coeffs(s, h, 2), s)),
+    "taylor3": Solver(lambda s, h, *_: _taylor_row(taylor_flat_coeffs(s, h, 3), s)),
     "euler_maruyama": Solver(lambda s, h, sched, t_next: (
         1.0 + 0.5 * h * s.beta, -h * s.beta / math.sqrt(s.nu), math.sqrt(h * s.beta)), noise="w"),
-    "ito_taylor": Solver(_ito_taylor_row, noise="wz"),
+    "ito_taylor": Solver(lambda s, h, *_: _taylor_row(taylor_sharp_step(s, h), s), noise="wz"),
 }
 
 
@@ -347,7 +337,7 @@ def sample_finals(
     batch: int,
     seed: int,
     clip: Optional[tuple[float, float]] = None,
-    start: Union[StartSpec, None] = None,
+    start: Optional[StartSpec] = None,
     workers: int = 1,
     final_noise: bool = False,
 ) -> np.ndarray:
@@ -373,10 +363,9 @@ def sample(
     seed: int,
     clip: Optional[tuple[float, float]] = None,
     record_trajectory: bool = False,
-    start: Union[StartSpec, None] = None,
     workers: int = 1,
 ) -> tuple[np.ndarray, Optional[np.ndarray], int]:
-    """Run ``batch`` independent trajectories of ``solver`` from t=T to t=0.
+    """Run ``batch`` trajectories of ``solver`` from standard normals at t=T to t=0.
 
     Returns ``(finals, trajectory, nfe)``: the (batch, d) final states, the
     (N+1, batch, d) states at ``steps.times`` (None unless
@@ -388,7 +377,7 @@ def sample(
     """
     table, trajectory, finals = _run_chunks(
         solver, sched, steps, score, d, batch, seed, clip, record_trajectory,
-        start or StartSpec(), workers,
+        StartSpec(), workers,
     )
     tableau = SOLVERS[solver].tableau
     return finals, trajectory, len(table) * (tableau.stages if tableau else 1)

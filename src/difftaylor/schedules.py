@@ -28,11 +28,22 @@ class Linear:
     beta0: float
     beta1: float
 
+    def __post_init__(self):
+        for name, value in (("beta0", self.beta0), ("beta1", self.beta1)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if self.beta0 + self.beta1 == 0.0:
+            raise ValueError("beta0 + beta1 must be positive, got beta0 = beta1 = 0")
+
 
 @dataclass(frozen=True)
 class Cosine:
     # beta is clipped at this value near t=T where tan(pi t/2) blows up
     threshold: float = 20.0
+
+    def __post_init__(self):
+        if not 0.0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
 
 
 ScheduleKind = Union[TanhSoftplus, Linear, Cosine]
@@ -65,7 +76,6 @@ class ScheduleSample:
     t: float
     lam: float
     lam_d1: float
-    lam_d2: float
     nu: float
     beta: float
     beta_d1: float
@@ -102,6 +112,12 @@ def fit_tanh_schedule(nu0: float, nuT: float, T: float) -> NoiseSchedule:
     rT = math.sqrt(nuT)
     A = 2.0 * r0 / (1.0 - r0)
     k = (math.log(2.0 * rT / (1.0 - rT)) - math.log(A)) / T
+    try:  # the evaluator cubes k, which overflows for a tiny enough T
+        if not math.isfinite(k ** 3):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"T={T} is too small for the tanh schedule: its rate "
+                         f"k={k:.3g} overflows the schedule derivatives") from None
     return NoiseSchedule(kind=TanhSoftplus(A=A, k=k), T=T)
 
 
@@ -125,23 +141,19 @@ def _eval_tanh_softplus(p: TanhSoftplus, t: float) -> ScheduleSample:
         - 0.5 * lam_d1 ** 3 * th * sech2
     )
     return ScheduleSample(
-        t=t, lam=lam, lam_d1=lam_d1, lam_d2=lam_d2,
+        t=t, lam=lam, lam_d1=lam_d1,
         nu=nu, beta=beta, beta_d1=beta_d1, beta_d2=beta_d2,
     )
 
 
-def _lam_fields(nu: float, beta: float, beta_d1: float):
-    """Derive lam and its derivatives from nu/beta via lam = 2 artanh(sqrt(nu)).
-
-    Uses lam' = beta/sqrt(nu) and nu' = (1-nu) beta.  Singular at nu=0.
-    """
+def _lam_fields(nu: float, beta: float) -> tuple[float, float]:
+    """lam = 2 artanh(sqrt(nu)) and lam' = beta/sqrt(nu).  Singular at nu=0."""
     if nu <= 0.0:
-        return 0.0, math.inf, math.inf
+        return 0.0, math.inf
     rn = math.sqrt(nu)
     lam = 2.0 * math.atanh(min(rn, 1.0 - 1e-16))
     lam_d1 = beta / rn
-    lam_d2 = beta_d1 / rn - beta * beta * (1.0 - nu) / (2.0 * nu * rn)
-    return lam, lam_d1, lam_d2
+    return lam, lam_d1
 
 
 def _eval_linear(p: Linear, t: float) -> ScheduleSample:
@@ -149,9 +161,9 @@ def _eval_linear(p: Linear, t: float) -> ScheduleSample:
     nu = 1.0 - math.exp(-p.beta0 * t - p.beta1 * t * t)
     beta_d1 = 2.0 * p.beta1
     beta_d2 = 0.0
-    lam, l1, l2 = _lam_fields(nu, beta, beta_d1)
+    lam, lam_d1 = _lam_fields(nu, beta)
     return ScheduleSample(
-        t=t, lam=lam, lam_d1=l1, lam_d2=l2,
+        t=t, lam=lam, lam_d1=lam_d1,
         nu=nu, beta=beta, beta_d1=beta_d1, beta_d2=beta_d2,
     )
 
@@ -167,9 +179,9 @@ def _eval_cosine(p: Cosine, t: float) -> ScheduleSample:
     sec2 = 1.0 / (c * c) if c > 0.0 else math.inf
     beta_d1 = 0.5 * math.pi ** 2 * sec2
     beta_d2 = 0.5 * math.pi ** 3 * sec2 * (s / c if c > 0.0 else math.inf)
-    lam, l1, l2 = _lam_fields(nu, beta, beta_d1)
+    lam, lam_d1 = _lam_fields(nu, beta)
     return ScheduleSample(
-        t=t, lam=lam, lam_d1=l1, lam_d2=l2,
+        t=t, lam=lam, lam_d1=lam_d1,
         nu=nu, beta=beta, beta_d1=beta_d1, beta_d2=beta_d2, clamped=clamped,
     )
 

@@ -193,7 +193,6 @@ class ScoreField:
     """
 
     d: int
-    kind: str
     fn: Callable[[np.ndarray, float, NoiseSchedule], np.ndarray] = field(repr=False)
 
     def score(self, x: np.ndarray, t: float, sched: NoiseSchedule) -> np.ndarray:
@@ -206,18 +205,25 @@ class ScoreField:
         return out
 
 
+def _finite_center(center: Sequence[float], name: str) -> np.ndarray:
+    c = np.asarray(center, dtype=np.float64)
+    if not np.isfinite(c).all():
+        raise ValueError(f"{name} must be finite, got {c.tolist()}")
+    return c
+
+
 def delta_field(x0: Sequence[float]) -> ScoreField:
-    x0 = np.asarray(x0, dtype=np.float64)
-    return ScoreField(d=x0.shape[-1], kind="delta",
-                      fn=lambda x, t, sched: score_delta(x, t, x0, sched))
+    x0 = _finite_center(x0, "delta point x0")
+    return ScoreField(d=x0.shape[-1], fn=lambda x, t, sched: score_delta(x, t, x0, sched))
 
 
 def gaussian_field(mean: Sequence[float], var: float) -> ScoreField:
-    mean = np.asarray(mean, dtype=np.float64)
-    return ScoreField(d=mean.shape[-1], kind="gaussian",
+    mean = _finite_center(mean, "gaussian mean")
+    if not 0.0 <= var < math.inf:
+        raise ValueError(f"gaussian var must be finite and nonnegative, got {var}")
+    return ScoreField(d=mean.shape[-1],
                       fn=lambda x, t, sched: score_gaussian(x, t, mean, var, sched))
 
 
 def mixture_field(data: PointCloudData) -> ScoreField:
-    return ScoreField(d=data.d, kind="mixture",
-                      fn=lambda x, t, sched: score_mixture_exact(x, t, data, sched))
+    return ScoreField(d=data.d, fn=lambda x, t, sched: score_mixture_exact(x, t, data, sched))

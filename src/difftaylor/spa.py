@@ -10,7 +10,6 @@ rel_l2 <= sqrt((1-nu)/nu) for data in a unit box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import entr
@@ -18,15 +17,8 @@ from scipy.special import entr
 from difftaylor import rng
 from difftaylor.score import PointCloudData, _mixture_posterior
 
-
-@dataclass(frozen=True)
-class SpaReport:
-    nu: float
-    rel_l2: float
-    cossim: float
-    entropy_nats: float
-    bound_rel_l2: float
-    bound_cossim: float
+# a sweep over a larger cloud runs on this many of its points, drawn by seed
+SUBSAMPLE_CAP = 10_000
 
 
 def bounds(nu: float) -> tuple[float, float]:
@@ -36,7 +28,7 @@ def bounds(nu: float) -> tuple[float, float]:
 
 
 def _metrics_batch(
-    data: PointCloudData, indices: np.ndarray, nu: float, seed: int, trial0: int = 0
+    data: PointCloudData, indices: np.ndarray, nu: float, seed: int, trial0: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized (rel_l2, cossim, entropy) for noised draws of chosen points."""
     trials = np.arange(trial0, trial0 + len(indices), dtype=np.uint64)
@@ -57,37 +49,18 @@ def _metrics_batch(
     return rel_l2, cossim, entr(w).sum(axis=-1)
 
 
-def spa_point_metrics(
-    data: PointCloudData, index: int, nu: float, seed: int = 0, trial: int = 0
-) -> SpaReport:
-    """Metrics for one noised draw of data point ``index`` at noise level nu."""
-    if not (0.0 < nu < 1.0):
-        raise ValueError(f"nu must lie in (0,1), got {nu}")
-    if not (0 <= index < len(data.points)):
-        raise ValueError(f"index {index} out of range for {len(data.points)} points")
-    rel_l2, cossim, ent = _metrics_batch(
-        data, np.asarray([index]), nu, seed, trial0=trial
-    )
-    b_rel, b_cos = bounds(nu)
-    return SpaReport(
-        nu=nu, rel_l2=float(rel_l2[0]), cossim=float(cossim[0]),
-        entropy_nats=float(ent[0]), bound_rel_l2=b_rel, bound_cossim=b_cos,
-    )
-
-
 def spa_sweep(
     data: PointCloudData,
     nu_grid,
     trials: int,
     seed: int = 0,
-    subsample_cap: int = 10_000,
     raw: bool = False,
 ):
     """Aggregate SPA metrics over a grid of noise levels.
 
     Returns a list of row dicts matching the sweep CSV columns; with
     ``raw=True`` additionally returns per-trial rows.  Datasets larger than
-    ``subsample_cap`` points are deterministically subsampled for runtime.
+    ``SUBSAMPLE_CAP`` points are deterministically subsampled for runtime.
     """
     nu_grid = list(nu_grid)
     if not nu_grid:
@@ -97,9 +70,9 @@ def spa_sweep(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     pts = data.points
-    if len(pts) > subsample_cap:
+    if len(pts) > SUBSAMPLE_CAP:
         sel = (
-            rng.counter_bits(seed, 97, np.arange(subsample_cap, dtype=np.uint64))
+            rng.counter_bits(seed, 97, np.arange(SUBSAMPLE_CAP, dtype=np.uint64))
             % np.uint64(len(pts))
         ).astype(np.int64)
         data = PointCloudData(points=pts[sel])

@@ -166,6 +166,26 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
         cfg.write_text(f'{{"T": Infinity, "schedule": "{schedule}"}}')
         assert main(["sample", "--config", str(cfg)]) == 2
         assert "T must be positive and finite, got inf" in capsys.readouterr().err
+    # a horizon so small that the tanh schedule's rate overflows is named, not a crash
+    for argv in (["sample"], ["schedule-dump"], ["order", "--solver", "rk4"]):
+        assert main([*argv, "--T", "1e-300"]) == 2
+        assert "T=1e-300 is too small" in capsys.readouterr().err
+    assert main(["fpe-demo", "--extent", "1e160", "--particles", "10"]) == 2
+    assert "grid extent L=1e+160" in capsys.readouterr().err
+    # non-finite oracle inputs and out-of-range schedule parameters name the input
+    for text, message in [('{"x0": [NaN]}', "x0 must be finite"),
+                          ('{"x0": [Infinity]}', "x0 must be finite"),
+                          ('{"oracle": "gaussian", "x0": [-Infinity]}', "mean must be finite"),
+                          ('{"oracle": "gaussian", "var": NaN}', "var must be finite"),
+                          ('{"oracle": "gaussian", "var": Infinity}', "var must be finite"),
+                          ('{"schedule": "linear", "beta0": -5}', "beta0 must be finite"),
+                          ('{"schedule": "linear", "beta0": 0, "beta1": 0}', "beta0 + beta1"),
+                          ('{"schedule": "cosine", "threshold": 0}', "threshold must be")]:
+        cfg.write_text(text)
+        # schedule-dump reads the schedule but no oracle
+        for command in ("sample", "schedule-dump") if "schedule" in text else ("sample",):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert message in capsys.readouterr().err
     # a config file bypasses argparse's sizes too; the sampler's checks still hold
     for text, message in [('{"batch": 0}', "at least 1"), ('{"d": 0}', "at least 1"),
                           ('{"steps": 0}', "positive integer")]:

@@ -16,7 +16,6 @@ from difftaylor.samplers import (
     RK4,
     SOLVERS,
     ScoreField,
-    SharpStep,
     StartSpec,
     ddim_coeffs,
     pf_ode_drift,
@@ -47,8 +46,7 @@ T_QUARTER = math.log(4.0 / 3.0)
 def synthetic_sample(beta, beta_d1=0.0, beta_d2=0.0, nu=0.5, t=0.5):
     return ScheduleSample(
         t=t, lam=2 * math.atanh(math.sqrt(nu)), lam_d1=beta / math.sqrt(nu),
-        lam_d2=0.0, nu=nu, beta=beta, beta_d1=beta_d1,
-        beta_d2=beta_d2,
+        nu=nu, beta=beta, beta_d1=beta_d1, beta_d2=beta_d2,
     )
 
 
@@ -106,7 +104,7 @@ def test_taylor_flat_rejects_bad_order_and_clamped():
     with pytest.raises(ValueError, match="order"):
         taylor_flat_coeffs(s, 0.1, 4)
     clamped = ScheduleSample(
-        t=0.9, lam=1.0, lam_d1=1.0, lam_d2=0.0, nu=0.5,
+        t=0.9, lam=1.0, lam_d1=1.0, nu=0.5,
         beta=20.0, beta_d1=0.0, beta_d2=0.0, clamped=True,
     )
     with pytest.raises(ValueError, match="clamped"):
@@ -154,7 +152,7 @@ def toy_drift_field(f):
         s = eval_schedule(sched, t)
         return ((0.5 * s.beta) * x - f(x, t)) * 2.0 * math.sqrt(s.nu) / s.beta
 
-    return ScoreField(d=1, kind="toy", fn=fn)
+    return ScoreField(d=1, fn=fn)
 
 
 TOY_SCHED = fit_tanh_schedule(0.1, 0.9, 1.0)
@@ -374,7 +372,7 @@ def test_frozen_finals(solver):
 def test_step_rows_match_reference_updates(kind, solver):
     x = np.array([0.7, -1.3, 2.1])
     S = np.array([-0.4, 0.9, 1.6])
-    fixed = ScoreField(d=3, kind="fixed", fn=lambda x, t, sched: S)
+    fixed = ScoreField(d=3, fn=lambda x, t, sched: S)
     if solver == "ddim" and isinstance(kind, Linear):
         # nu(0) = 0 on the linear schedule, so no DDIM table reaches t = 0
         with pytest.raises(ValueError, match="nu_prev"):

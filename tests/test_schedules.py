@@ -142,6 +142,31 @@ def test_horizon_must_be_positive_and_finite(T):
             NoiseSchedule(kind=kind, T=T)
 
 
+@pytest.mark.parametrize("kwargs,field", [
+    (dict(beta0=-5.0, beta1=9.95), "beta0"), (dict(beta0=0.1, beta1=-1.0), "beta1"),
+    (dict(beta0=math.nan, beta1=1.0), "beta0"), (dict(beta0=0.1, beta1=math.inf), "beta1"),
+    (dict(beta0=0.0, beta1=0.0), "beta0 \\+ beta1")])
+def test_linear_rates_must_be_finite_nonnegative_and_not_both_zero(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        Linear(**kwargs)
+    assert Linear(beta0=0.0, beta1=1.0).beta0 == 0.0
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.inf, math.nan])
+def test_cosine_threshold_must_be_positive_and_finite(threshold):
+    with pytest.raises(ValueError, match="threshold must be positive and finite"):
+        Cosine(threshold=threshold)
+
+
+@pytest.mark.parametrize("T", [1e-300, 5e-324])
+def test_tanh_fit_refuses_a_horizon_whose_rate_overflows(T):
+    with pytest.raises(ValueError, match=f"T={T} is too small"):
+        fit_tanh_schedule(1e-4, 0.99, T)
+    # the smallest horizons that run keep running: k**3 stays finite
+    sched = fit_tanh_schedule(1e-4, 0.99, 1e-100)
+    assert math.isfinite(eval_schedule(sched, 1e-100).beta_d2)
+
+
 @given(
     t=st.floats(min_value=0.01, max_value=0.99),
     n=st.integers(min_value=1, max_value=64),
@@ -185,19 +210,6 @@ def test_lipschitz_form_beta_over_sqrt_nu_is_lam_dot(t):
     sched = fit_tanh_schedule(5e-4, 0.995, 1.0)
     s = eval_schedule(sched, t)
     assert abs(s.beta / math.sqrt(s.nu) - s.lam_d1) <= 1e-10 * abs(s.lam_d1)
-
-
-@given(t=st.floats(min_value=0.02, max_value=0.98))
-@settings(max_examples=50, deadline=None)
-def test_lam_derivative_fields_consistent(t):
-    # lam_d2 derived from nu/beta must match finite differences of lam_d1
-    for sched in (fit_tanh_schedule(1e-3, 0.9, 1.0),
-                  NoiseSchedule(kind=Linear(beta0=0.5, beta1=2.0), T=1.0)):
-        d = 1e-5
-        s = eval_schedule(sched, t)
-        fd2 = (eval_schedule(sched, t + d).lam_d1
-               - eval_schedule(sched, t - d).lam_d1) / (2 * d)
-        assert abs(fd2 - s.lam_d2) <= 1e-4 * max(abs(fd2), 1e-9)
 
 
 def test_tanh_nu_monotone_and_in_range():

@@ -61,6 +61,17 @@ def test_gaussian_score_rejects_negative_var():
         score_gaussian(np.array([0.0]), 0.0, np.array([0.0]), -1.0, SCHED_05)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_delta_and_gaussian_fields_refuse_non_finite_inputs(bad):
+    with pytest.raises(ValueError, match="delta point x0 must be finite"):
+        delta_field([0.0, bad])
+    with pytest.raises(ValueError, match="gaussian mean must be finite"):
+        gaussian_field([bad], 1.0)
+    for var in (bad, -1.0):
+        with pytest.raises(ValueError, match="gaussian var must be finite and nonnegative"):
+            gaussian_field([0.0], var)
+
+
 def test_score_undefined_at_zero_nu():
     sched = fit_tanh_schedule(1e-4, 0.99, 1.0)
     data = PointCloudData(points=np.zeros((1, 1)))

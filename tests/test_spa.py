@@ -8,9 +8,9 @@ import struct
 import numpy as np
 import pytest
 
-from difftaylor import rng
+from difftaylor import rng, spa
 from difftaylor.score import PointCloudData, load_idx
-from difftaylor.spa import SpaReport, bounds, spa_point_metrics, spa_sweep
+from difftaylor.spa import bounds, spa_sweep
 
 
 def write_idx3(path, images: np.ndarray):
@@ -62,10 +62,10 @@ def test_bounds_closed_forms():
 def test_single_point_cloud_is_exact():
     # with one data point the approximation is the truth: rel_l2 = 0, cossim = 1
     data = PointCloudData(points=np.array([[0.3, 0.7]]))
-    rep = spa_point_metrics(data, 0, 0.5, seed=0)
-    assert rep.rel_l2 == pytest.approx(0.0, abs=1e-12)
-    assert rep.cossim == pytest.approx(1.0, abs=1e-12)
-    assert rep.entropy_nats == pytest.approx(0.0, abs=1e-12)
+    (rep,) = spa_sweep(data, [0.5], trials=1, seed=0, raw=True)[1]
+    assert rep["rel_l2"] == pytest.approx(0.0, abs=1e-12)
+    assert rep["cossim"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["entropy"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_equidistant_points_entropy_log2():
@@ -74,8 +74,8 @@ def test_two_equidistant_points_entropy_log2():
     nu = 0.5
     # construct the symmetric case by hand through the metrics of both points
     # at tiny noise the posterior concentrates instead
-    rep = spa_point_metrics(data, 0, 1e-6, seed=0)
-    assert rep.entropy_nats < 1e-6
+    (rep,) = spa_sweep(data, [1e-6], trials=1, seed=0, raw=True)[1]
+    assert rep["entropy"] < 1e-6
     # direct check of the symmetric posterior via the underlying machinery
     from difftaylor.score import posterior_weights
     from difftaylor.schedules import fit_tanh_schedule
@@ -124,14 +124,6 @@ def test_sweep_frozen_values_on_weighted_cloud():
     assert all(math.isfinite(r["entropy"]) for r in raw_rows)
 
 
-def test_point_metrics_validation():
-    data = PointCloudData(points=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="nu"):
-        spa_point_metrics(data, 0, 0.0)
-    with pytest.raises(ValueError, match="index"):
-        spa_point_metrics(data, 5, 0.5)
-
-
 def test_metrics_respect_worst_case_bound_mostly():
     # random unit-box cloud: rel_l2 <= sqrt((1-nu)/nu) in almost all trials
     pts = rng.counter_uniform(
@@ -170,12 +162,11 @@ def test_sweep_row_schema_and_determinism():
     assert a[0]["nu"] == 0.3 and a[1]["nu"] == 0.6
 
 
-def test_sweep_subsamples_large_clouds_deterministically():
+def test_sweep_subsamples_large_clouds_deterministically(monkeypatch):
+    monkeypatch.setattr(spa, "SUBSAMPLE_CAP", 100)
     pts = np.random.default_rng(1).uniform(size=(500, 2))
-    a = spa_sweep(PointCloudData(points=pts), [0.5], trials=40, seed=2,
-                  subsample_cap=100)
-    b = spa_sweep(PointCloudData(points=pts), [0.5], trials=40, seed=2,
-                  subsample_cap=100)
+    a = spa_sweep(PointCloudData(points=pts), [0.5], trials=40, seed=2)
+    b = spa_sweep(PointCloudData(points=pts), [0.5], trials=40, seed=2)
     assert a == b
 
 
