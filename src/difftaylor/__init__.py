@@ -1,70 +1,1 @@
 """Taylor-scheme diffusion samplers, score oracles, and verification tools."""
-
-from difftaylor.schedules import (
-    Cosine,
-    Linear,
-    NoiseSchedule,
-    ScheduleSample,
-    StepSchedule,
-    TanhSoftplus,
-    eval_schedule,
-    fit_tanh_schedule,
-    make_step_schedule,
-)
-from difftaylor.score import (
-    PointCloudData,
-    ScoreField,
-    delta_field,
-    gaussian_field,
-    mixture_field,
-    posterior_weights,
-    score_delta,
-    score_gaussian,
-    score_mixture_exact,
-)
-from difftaylor.samplers import (
-    SOLVERS,
-    StartSpec,
-    ddim_coeffs,
-    pf_ode_drift,
-    rk_step,
-    rsde_drift,
-    sample,
-    sample_finals,
-    taylor_flat_coeffs,
-    taylor_sharp_step,
-)
-from difftaylor.config import ExperimentConfig, PRESETS
-
-__all__ = [
-    "Cosine",
-    "ExperimentConfig",
-    "Linear",
-    "NoiseSchedule",
-    "PRESETS",
-    "PointCloudData",
-    "SOLVERS",
-    "ScheduleSample",
-    "ScoreField",
-    "StartSpec",
-    "StepSchedule",
-    "TanhSoftplus",
-    "ddim_coeffs",
-    "delta_field",
-    "eval_schedule",
-    "fit_tanh_schedule",
-    "gaussian_field",
-    "make_step_schedule",
-    "mixture_field",
-    "pf_ode_drift",
-    "posterior_weights",
-    "rk_step",
-    "rsde_drift",
-    "sample",
-    "sample_finals",
-    "score_delta",
-    "score_gaussian",
-    "score_mixture_exact",
-    "taylor_flat_coeffs",
-    "taylor_sharp_step",
-]

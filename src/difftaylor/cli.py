@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from difftaylor import fpe, spa, symderiv
+from difftaylor import fpe, rng, spa, symderiv
 from difftaylor.config import FIELD_NAMES, PRESETS, ExperimentConfig
 from difftaylor.orders import deterministic_order, stochastic_order
 from difftaylor.samplers import SOLVERS, sample
@@ -192,29 +192,24 @@ def _cmd_schedule_dump(args) -> int:
     return 0
 
 
-def _synthetic_cloud(seed: int = 0, n: int = 100, d: int = 32) -> PointCloudData:
-    from difftaylor import rng
-
-    pts = rng.counter_uniform(
-        seed, 1234, np.arange(n, dtype=np.uint64)[:, None], np.arange(d, dtype=np.uint64)
-    )
-    return PointCloudData(points=pts)
-
-
 def _cmd_spa_sweep(args) -> int:
     cfg = _config_from_args(args)
-    data = load_point_cloud(cfg.dataset) if cfg.dataset else _synthetic_cloud(seed=cfg.seed)
+    if cfg.dataset:
+        data = load_point_cloud(cfg.dataset)
+    else:  # a synthetic cloud of 100 points in 32 dims, drawn by seed
+        pts = rng.counter_uniform(cfg.seed, 1234, np.arange(100, dtype=np.uint64)[:, None],
+                                  np.arange(32, dtype=np.uint64))
+        data = PointCloudData(points=pts)
     result = spa.spa_sweep(data, args.nu_grid, args.trials, seed=cfg.seed,
                            raw=bool(args.raw_out))
     rows, raw_rows = result if args.raw_out else (result, None)
-    cols = ["nu", "rel_l2_mean", "rel_l2_p5", "rel_l2_p95", "cossim_mean",
-            "cossim_p5", "cossim_p95", "entropy_mean", "bound_rel_l2", "bound_cossim"]
+    cols = list(rows[0])  # spa_sweep's row keys, in the sweep CSV's column order
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in cols))
     _write_lines(cfg.out, lines)
     if raw_rows is not None:
-        rcols = ["nu", "trial", "rel_l2", "cossim", "entropy"]
+        rcols = list(raw_rows[0])
         rlines = [",".join(rcols)]
         for row in raw_rows:
             rlines.append(",".join(
@@ -231,7 +226,10 @@ def _cmd_symdiff_dump(args) -> int:
 
 
 def _cmd_fpe_demo(args) -> int:
-    pot = fpe.GmmPotential(sigma=args.sigma, D=args.D)
+    try:
+        pot = fpe.GmmPotential(sigma=args.sigma, D=args.D)
+    except ValueError as exc:
+        raise ConfigError(f"--sigma: {exc}") from None
     # the grid first: its stability check fires before any particle moves
     grids, stats = fpe.fpe_evolve(pot, fpe.gaussian_grid(L=args.extent, n=args.grid),
                                   args.h, args.fpe_steps, snapshot_every=args.fpe_steps)

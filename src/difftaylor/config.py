@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,9 +71,6 @@ class ExperimentConfig:
     seed: int = 0
     clip: Optional[list] = None  # [lo, hi]
     out: Optional[str] = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":

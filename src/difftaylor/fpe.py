@@ -34,6 +34,10 @@ class GmmPotential:
     centers: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # the wells divide by sigma**2, a Python float power that raises on overflow
+        if not 0.0 < self.sigma * self.sigma < math.inf:
+            raise ValueError(f"sigma={self.sigma} is out of range: its square "
+                             "overflows or underflows to 0")
         ang = 2.0 * math.pi * np.arange(5) / 5.0
         object.__setattr__(self, "centers", np.stack([np.cos(ang), np.sin(ang)], axis=1))
 

@@ -133,6 +133,7 @@ def stochastic_order(
         h_list.append(sched.T / n)
         mean_errs.append(abs(float(finals.mean()) - exact_mean))
         var_errs.append(abs(float(finals.var()) - nu0))
+        del finals  # free this grid's batch before the next one is sampled
     return {
         "mean": fit_order(solver, "mean", h_list, mean_errs),
         "var": fit_order(solver, "var", h_list, var_errs),

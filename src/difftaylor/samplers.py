@@ -84,13 +84,6 @@ def pf_ode_drift(x: np.ndarray, t: float, score: ScoreField, sched: NoiseSchedul
     return 0.5 * s.beta * x - (0.5 * s.beta / math.sqrt(s.nu)) * S
 
 
-def rsde_drift(x: np.ndarray, t: float, score: ScoreField, sched: NoiseSchedule) -> np.ndarray:
-    """Reversed-time reverse-SDE drift: (beta/2) x - (beta/sqrt(nu)) S(x, t)."""
-    s = eval_schedule(sched, t)
-    S = score.score(x, t, sched)
-    return 0.5 * s.beta * x - (s.beta / math.sqrt(s.nu)) * S
-
-
 def _require_taylor_ready(s: ScheduleSample) -> None:
     if s.clamped:
         raise ValueError(
@@ -301,30 +294,31 @@ def _run_chunks(
         raise ValueError(f"score field dimension {score.d} does not match d={d}")
     n_chunks = workers if workers > 1 and batch >= 2 * workers else 1
     # at most one block per worker keeps the worker split; larger batches run
-    # in blocks of at most TRAJECTORY_BLOCK_BYTES of state each
+    # in blocks of at most TRAJECTORY_BLOCK_BYTES of state each, cut at the
+    # boundaries np.array_split gives (the first batch % n_blocks one row longer)
     rows = max(1, TRAJECTORY_BLOCK_BYTES // (8 * d))
-    blocks = np.array_split(np.arange(batch, dtype=np.uint64),
-                            max(n_chunks, -(-batch // rows)))
+    n_blocks = max(n_chunks, -(-batch // rows))
+    size, longer = divmod(batch, n_blocks)
+    bounds = [i * size + min(i, longer) for i in range(n_blocks + 1)]
     run = partial(_sample_chunk, SOLVERS[solver], sched, steps, score, d, seed=seed, clip=clip,
                   record_trajectory=record_trajectory, start=start,
                   final_noise=final_noise, table=table)
     finals = np.empty((batch, d))
     trajectory = np.empty((steps.N + 1, batch, d)) if record_trajectory else None
 
-    def run_block(traj: np.ndarray) -> None:
-        x, path = run(traj)
-        rows_at = slice(int(traj[0]), int(traj[0]) + len(traj))
-        finals[rows_at] = x
+    def run_block(lo: int, hi: int) -> None:
+        x, path = run(np.arange(lo, hi, dtype=np.uint64))
+        finals[lo:hi] = x
         if record_trajectory:
-            trajectory[:, rows_at] = path
+            trajectory[:, lo:hi] = path
 
-    threads = min(workers, len(blocks))
+    threads = min(workers, n_blocks)
     if threads == 1:
-        for traj in blocks:
-            run_block(traj)
+        for block in zip(bounds, bounds[1:]):
+            run_block(*block)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
+            list(pool.map(run_block, bounds, bounds[1:]))
     return table, trajectory, finals
 
 
@@ -336,7 +330,6 @@ def sample_finals(
     d: int,
     batch: int,
     seed: int,
-    clip: Optional[tuple[float, float]] = None,
     start: Optional[StartSpec] = None,
     workers: int = 1,
     final_noise: bool = False,
@@ -348,7 +341,7 @@ def sample_finals(
     variance and would mask the schemes' weak order in convergence studies.
     """
     return _run_chunks(
-        solver, sched, steps, score, d, batch, seed, clip, False,
+        solver, sched, steps, score, d, batch, seed, None, False,
         start or StartSpec(), workers, final_noise,
     )[2]
 

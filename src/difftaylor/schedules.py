@@ -61,6 +61,12 @@ class NoiseSchedule:
 
     def __post_init__(self):
         _check_horizon(self.T)
+        if isinstance(self.kind, Cosine) and self.T > 1.0:
+            raise ValueError(f"T={self.T} exceeds 1, where the cosine schedule's "
+                             "nu = sin^2(pi t/2) stops rising")
+        if _evaluate(self.kind, self.T).nu <= 0.0:
+            raise ValueError(f"T={self.T} is too small for the {type(self.kind).__name__} "
+                             "schedule: nu(T) rounds to 0")
 
 
 @dataclass(frozen=True, slots=True)

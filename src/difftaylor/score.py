@@ -93,19 +93,13 @@ def load_idx(path: str) -> PointCloudData:
     return PointCloudData(points=data / 255.0)
 
 
-def load_point_cloud_csv(path: str) -> PointCloudData:
-    """Load a point cloud from CSV, one point per row."""
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
-    return PointCloudData(points=pts)
-
-
 def load_point_cloud(path: str) -> PointCloudData:
     """Load a dataset by its content: IDX if it starts with an IDX magic, else CSV."""
     with open(path, "rb") as f:
         head = f.read(4)
     if len(head) == 4 and struct.unpack(">I", head)[0] in IDX_MAGICS:
         return load_idx(path)
-    return load_point_cloud_csv(path)
+    return PointCloudData(points=np.loadtxt(path, delimiter=",", ndmin=2))
 
 
 def _nu(sched: NoiseSchedule, t: float) -> float:

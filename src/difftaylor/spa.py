@@ -38,12 +38,13 @@ def _metrics_batch(
     x = math.sqrt(1.0 - nu) * x0 + math.sqrt(nu) * g  # (trials, d)
 
     single = (x - math.sqrt(1.0 - nu) * x0) / math.sqrt(nu)  # equals sqrt(nu) g / sqrt(nu)
+    sn = np.linalg.norm(single, axis=-1)
+    if np.any(sn == 0.0):
+        raise ValueError(f"nu={nu} is too small: the sqrt(nu) noise vanishes against "
+                         "the cloud's points, so the single-point score is 0")
     w, mix = _mixture_posterior(x, nu, data)  # (trials, n), (trials, d)
 
-    sn = np.linalg.norm(single, axis=-1)
     mn = np.linalg.norm(mix, axis=-1)
-    if np.any(sn == 0.0):
-        raise ZeroDivisionError("degenerate zero single-point score")
     rel_l2 = np.linalg.norm(mix - single, axis=-1) / sn
     cossim = np.sum(single * mix, axis=-1) / (sn * np.maximum(mn, 1e-300))
     return rel_l2, cossim, entr(w).sum(axis=-1)

@@ -115,10 +115,6 @@ class Expr:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def atoms(self) -> set:
-        """Names of every non-constant factor appearing in the expression."""
-        return {name for m in self.terms for name, _ in _factors(m)}
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -317,13 +313,11 @@ class HSeries:
     __repr__ = __str__
 
 
-def divide_one_minus_nu(e: Expr, max_iters: int = 10_000) -> Expr:
+def divide_one_minus_nu(e: Expr) -> Expr:
     """Exact polynomial division of e by (1 - nu); raises if not divisible."""
     quotient = Expr.zero
     rem = e
-    for _ in range(max_iters):
-        if rem.is_zero():
-            return quotient
+    while not rem.is_zero():  # each step lowers the top nu power of one term by 1
         m = max(rem.terms, key=lambda m: m[2])
         if m[2] < 1:
             raise ValueError(f"expression not divisible by (1 - nu): remainder {rem}")
@@ -331,7 +325,7 @@ def divide_one_minus_nu(e: Expr, max_iters: int = 10_000) -> Expr:
         qt = Expr({(m[0], m[1], m[2] - 1, m[3]): -rem.terms[m]})
         quotient = quotient + qt
         rem = rem - qt * (Expr.one - Expr.nu())
-    raise RuntimeError("division by (1 - nu) did not terminate")
+    return quotient
 
 
 def _taylor_displacement(order: int) -> HSeries:

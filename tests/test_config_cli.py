@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from difftaylor.config import FIELD_NAMES, PRESETS, ExperimentConfig
 def test_config_json_round_trip():
     cfg = ExperimentConfig(solver="taylor3", nu0=5e-4, nuT=0.995, steps=16,
                            clip=[-3.0, 3.0])
-    back = ExperimentConfig.from_json(cfg.to_json())
+    back = ExperimentConfig.from_json(json.dumps(dataclasses.asdict(cfg)))
     assert back == cfg
 
 
@@ -250,6 +252,20 @@ def test_cli_exit_code_2_on_config_errors(capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("DSL_THREADS", threads)
         assert main(["sample"]) == 2
         assert "DSL_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["fpe-demo", "--sigma", "1e155", "--particles", "10", "--fpe-steps", "2"], "--sigma"),
+    (["fpe-demo", "--sigma", "1e-200", "--particles", "10", "--fpe-steps", "2"], "--sigma"),
+    (["spa-sweep", "--nu-grid", "1e-200,1e-3", "--trials", "3"], "nu=1e-200"),
+    (["sample", "--solver", "euler", "--schedule", "linear", "--T", "1e-30"], "T=1e-30"),
+    (["sample", "--solver", "ddim", "--schedule", "linear", "--T", "1e-30"], "T=1e-30"),
+    (["schedule-dump", "--schedule", "cosine", "--T", "3"], "T=3.0"),
+])
+def test_cli_out_of_range_numbers_exit_2_naming_the_input(tmp_path, capsys, argv, named):
+    # each of these used to crash with exit 1 or run into an unrelated error
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("solver,n0", [("euler_maruyama", 32), ("ito_taylor", 16)])

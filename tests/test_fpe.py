@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def test_potential_gradient_vanishes_at_origin():
     pot = GmmPotential()
     g = pot.grad(np.zeros(2))
     assert np.allclose(g, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1e155, 1e-200])
+def test_potential_refuses_a_sigma_whose_square_is_out_of_range(sigma):
+    with pytest.raises(ValueError, match=re.escape(f"sigma={sigma} is out of range")):
+        GmmPotential(sigma=sigma)
 
 
 def test_potential_gradient_matches_finite_difference():

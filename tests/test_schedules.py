@@ -142,6 +142,18 @@ def test_horizon_must_be_positive_and_finite(T):
             NoiseSchedule(kind=kind, T=T)
 
 
+@pytest.mark.parametrize("kind,T,message", [
+    (Cosine(), 1.0 + 1e-15, "exceeds 1"), (Cosine(), 3.0, "exceeds 1"),
+    (Cosine(), 1e-200, "nu\\(T\\) rounds to 0"),
+    (Linear(beta0=0.1, beta1=9.95), 1e-30, "nu\\(T\\) rounds to 0")])
+def test_schedule_refuses_a_horizon_its_nu_cannot_reach(kind, T, message):
+    with pytest.raises(ValueError, match=f"T={T} .*{message}"):
+        NoiseSchedule(kind=kind, T=T)
+    # the largest cosine horizon and a tiny linear one whose nu(T) is positive run
+    assert eval_schedule(NoiseSchedule(kind=Cosine(), T=1.0), 1.0).nu == 1.0
+    assert eval_schedule(NoiseSchedule(kind=kind, T=1e-10), 1e-10).nu > 0.0
+
+
 @pytest.mark.parametrize("kwargs,field", [
     (dict(beta0=-5.0, beta1=9.95), "beta0"), (dict(beta0=0.1, beta1=-1.0), "beta1"),
     (dict(beta0=math.nan, beta1=1.0), "beta0"), (dict(beta0=0.1, beta1=math.inf), "beta1"),

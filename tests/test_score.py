@@ -22,7 +22,6 @@ from difftaylor.score import (
     delta_field,
     gaussian_field,
     load_point_cloud,
-    load_point_cloud_csv,
     mixture_field,
     posterior_weights,
     score_delta,
@@ -317,7 +316,7 @@ def test_mixture_oracle_memory_stays_within_a_few_blocks():
 def test_load_point_cloud_csv(tmp_path):
     p = tmp_path / "pts.csv"
     p.write_text("0.5,1.0\n-0.25,2.0\n")
-    data = load_point_cloud_csv(str(p))
+    data = load_point_cloud(str(p))
     assert data.points.shape == (2, 2)
     assert data.points[1, 0] == -0.25
 

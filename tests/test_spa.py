@@ -179,3 +179,10 @@ def test_sweep_validates_grid():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             spa_sweep(data, [0.5], trials)
+
+
+def test_sweep_names_a_nu_whose_noise_vanishes_against_the_cloud():
+    # sqrt(1e-200) = 1e-100 is lost in 1 + 1e-100, so the single-point score is 0
+    data = PointCloudData(points=np.ones((3, 2)))
+    with pytest.raises(ValueError, match="nu=1e-200 is too small"):
+        spa_sweep(data, [1e-3, 1e-200], trials=4)
