@@ -119,7 +119,12 @@ def langevin_simulate(
     seed: int = 0,
     snapshot_every: int = 50,
 ) -> list[tuple[int, np.ndarray]]:
-    """Euler-Maruyama particles for dx = -grad U dt + sqrt(2D) dB from N(0, I)."""
+    """Euler-Maruyama particles for dx = -grad U dt + sqrt(2D) dB from N(0, I).
+
+    The particles are checked to be finite at each snapshot; a step that
+    throws them past the float range (a tiny sigma makes grad U huge) is a
+    ValueError naming sigma, h and the snapshot step.
+    """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     stream = rng.TrajectoryStream(seed, rng.PURPOSE_PARTICLE,
@@ -131,6 +136,9 @@ def langevin_simulate(
         w = stream.normals(i, 2)
         x = x - h * pot.grad(x) + amp * w
         if i % snapshot_every == 0 or i == n_steps:
+            if not np.isfinite(x).all():
+                raise ValueError(f"Langevin particles are not finite at step {i} with "
+                                 f"sigma={pot.sigma}, h={h}; lower h or raise sigma")
             snaps.append((i, x.copy()))
     return snaps
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from difftaylor import rng
-from difftaylor.samplers import StartSpec, sample_finals
+from difftaylor.samplers import StartSpec, sample_finals_on_plans
 from difftaylor.schedules import NoiseSchedule, eval_schedule, make_step_schedule
 from difftaylor.score import delta_field
 
@@ -81,16 +81,14 @@ def deterministic_order(
     The reference is ``closed_form_final`` of the run's own start draw x_T, the
     exact PF-ODE solution, so the measured errors are the solver's alone.
     """
-    score = delta_field(np.zeros(d))
     n_list = _step_counts(n0, halvings)
-    finals = {}
-    for n in n_list:
-        steps = make_step_schedule("constant", n, sched.T)
-        finals[n] = sample_finals(solver, sched, steps, score, d, 1, seed)[0]
+    plans = [make_step_schedule("constant", n, sched.T) for n in n_list]
+    finals = sample_finals_on_plans(solver, sched, plans, delta_field(np.zeros(d)), d, 1,
+                                    seed)[:, 0]
     x_T = rng.step_normals(seed, rng.PURPOSE_START, np.arange(1, dtype=np.uint64), 0, d)[0]
     ref = closed_form_final(sched, x_T)
     h_list = [sched.T / n for n in n_list]
-    errors = [float(np.linalg.norm(finals[n] - ref)) for n in n_list]
+    errors = [float(np.linalg.norm(f - ref)) for f in finals]
     return fit_order(solver, "path", h_list, errors)
 
 
@@ -115,6 +113,15 @@ def stochastic_order(
     the mean bias stays well above the Monte Carlo noise floor across the
     step grid.  The default coarsest step counts start past each scheme's
     stability boundary for steep schedules.
+
+    All grids run in one lockstep pass (``sample_finals_on_plans``), so each
+    start draw and step-k normal is made once for every grid with a step k:
+    n0 * 2^halvings draws per trajectory and stream, where grid-by-grid runs
+    made (2^(halvings+1) - 1) n0.  Every grid's finals are byte-identical to
+    a ``sample_finals`` call of its own.  The trade is memory: the study holds
+    all halvings + 1 grids' finals at once, halvings * batch * 8 bytes more
+    than one grid at a time (numpy's mean and var need each grid's whole
+    array to keep their bits).
     """
     if n0 is None:
         n0 = 32 if solver == "euler_maruyama" else 16
@@ -123,17 +130,14 @@ def stochastic_order(
     exact_mean = math.sqrt(1.0 - nu0) * x0
     start = StartSpec(kind="exact_marginal", x0=np.asarray([x0]))
     n_list = _step_counts(n0, halvings)
-    h_list, mean_errs, var_errs = [], [], []
-    for n in n_list:
-        steps = make_step_schedule("constant", n, sched.T)
-        finals = sample_finals(
-            solver, sched, steps, score, 1, batch, seed, start=start,
-            workers=workers, final_noise=True,
-        )[:, 0]
-        h_list.append(sched.T / n)
-        mean_errs.append(abs(float(finals.mean()) - exact_mean))
-        var_errs.append(abs(float(finals.var()) - nu0))
-        del finals  # free this grid's batch before the next one is sampled
+    plans = [make_step_schedule("constant", n, sched.T) for n in n_list]
+    finals = sample_finals_on_plans(
+        solver, sched, plans, score, 1, batch, seed, start=start,
+        workers=workers, final_noise=True,
+    )[:, :, 0]
+    h_list = [sched.T / n for n in n_list]
+    mean_errs = [abs(float(f.mean()) - exact_mean) for f in finals]
+    var_errs = [abs(float(f.var()) - nu0) for f in finals]
     return {
         "mean": fit_order(solver, "mean", h_list, mean_errs),
         "var": fit_order(solver, "var", h_list, var_errs),

@@ -18,7 +18,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from itertools import zip_longest
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from difftaylor.score import ScoreField
 # Batches of more than one block per worker run in blocks of at most this many
 # bytes of (rows, d) float64 state, so per-step temporaries stay cache-sized and
 # sampler memory does not grow with the batch beyond the outputs.
-TRAJECTORY_BLOCK_BYTES = 256 * 1024
+TRAJECTORY_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,11 @@ RK4 = ButcherTableau(c=(0.0, 0.5, 0.5, 1.0), a=((), (0.5,), (0.0, 0.5), (0.0, 0.
                      b=(1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0))
 
 
-@dataclass(frozen=True)
-class StepRow:
+class StepRow(NamedTuple):
     """x <- rho x + mu S(x, t) + noise from t to t - h, the noise as in
-    ``TaylorStep``; rho and mu are None for the Runge-Kutta solvers."""
+    ``TaylorStep``; rho and mu are None for the Runge-Kutta solvers.  A named
+    tuple: a study builds tens of thousands of rows, at a third of the cost
+    of a frozen dataclass each."""
     t: float
     h: float
     rho: Optional[float] = None
@@ -202,8 +204,17 @@ def step_table(solver: str, sched: NoiseSchedule, steps: StepSchedule) -> list[S
         # the c = 1 stage of the last step evaluates the score at t = 0
         raise ValueError(f"solver {solver!r} needs the score at t=0, but nu(0)=0 there")
     times = steps.times
-    return [StepRow(t, h, *spec.row(eval_schedule(sched, t), h, sched, t_next))
-            for t, t_next, h in zip(times, times[1:], steps.steps)]
+    table = []
+    try:
+        for t, t_next, h in zip(times, times[1:], steps.steps):
+            fields = spec.row(eval_schedule(sched, t), h, sched, t_next)
+            if not all(map(math.isfinite, fields)):
+                raise OverflowError(f"row {fields}")
+            table.append(StepRow(t, h, *fields))
+    except OverflowError as exc:
+        raise ValueError(f"solver {solver!r} with T={sched.T}: the step from t={t} "
+                         f"overflows ({exc})") from None
+    return table
 
 
 @dataclass(frozen=True)
@@ -239,44 +250,71 @@ def _sample_chunk(
     traj: np.ndarray,
     seed: int,
     clip: Optional[tuple[float, float]],
-    record_trajectory: bool,
     start: StartSpec,
     final_noise: bool,
-    table: list[StepRow],
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    x = _initial_state(start, sched, d, traj, seed)
-    snapshots = [x] if record_trajectory else None
-    if solver.noise:
+    tables: tuple[list[StepRow], ...],
+    states: list[np.ndarray],
+    paths: Optional[list[np.ndarray]],
+) -> None:
+    """Step trajectories ``traj`` through every table of ``tables`` in lockstep.
+
+    ``states[g]`` is table g's (rows, d) output; it receives the start state
+    and is stepped in place, so it ends as the finals.  ``paths[g]``, if
+    given, receives the (len(tables[g]) + 1, rows, d) states.  The step-i
+    normals are drawn once, for every table that has a step i; ``steps`` is
+    the longest plan, whose length bounds those draws.
+    """
+    x0 = _initial_state(start, sched, d, traj, seed)
+    noise, tableau = solver.noise, solver.tableau
+    if noise:
         w_stream = rng.TrajectoryStream(seed, rng.PURPOSE_STEP_W, traj)
-    if solver.noise == "wz":
+    if noise == "wz":
         u_stream = rng.TrajectoryStream(seed, rng.PURPOSE_STEP_U, traj)
-    for i, row in enumerate(table):
-        if solver.tableau is not None:
-            x = rk_step(solver.tableau, x, row.t, row.h, score, sched)
-        else:
-            x = row.rho * x + row.mu * score.score(x, row.t, sched)
-        if solver.noise and (final_noise or i < steps.N - 1):  # no final-step noise by default
-            # x is fresh from the update above, so the noise adds in place,
-            # term by term in the order of x + c_w w + c_wz (w - z) + c_z z
-            if solver.noise == "w":
-                x += row.c_w * w_stream.normals(i + 1, d)
+    # table g adds noise at its steps i < its noisy count: not at its last step
+    # by default, and none without noise; the longest table draws the most
+    last = 0 if final_noise else 1
+    n_draws = steps.N - last if noise else 0
+    grids = [(x, len(table) - last if noise else 0, path)
+             for x, table, path in zip(states, tables, paths or [None] * len(tables))]
+    for x, _, path in grids:
+        x[...] = x0
+        if path is not None:
+            path[0] = x0
+    rho_x = x0  # the affine update's scratch array
+    for i, rows in enumerate(zip_longest(*tables)):
+        if i < n_draws:
+            w = z = wz = None  # free the last step's normals before drawing
+            if noise == "w":
+                w = w_stream.normals(i + 1, d)
             else:
                 w, z = rng.correlated_pair(w_stream, u_stream, i + 1, d)
+                wz = w - z
+        for (x, noisy, path), row in zip(grids, rows):
+            if row is None:
+                continue
+            if tableau is not None:
+                x[...] = rk_step(tableau, x, row.t, row.h, score, sched)
+            else:
+                # rho x + mu S into x; rho x goes through a scratch array, as an
+                # update in place is slower on few rows (numpy's overlap check)
+                np.multiply(x, row.rho, out=rho_x)
+                np.add(rho_x, row.mu * score.score(x, row.t, sched), out=x)
+            if i < noisy:
+                # term by term in the order of x + c_w w + c_wz (w - z) + c_z z
                 x += row.c_w * w
-                x += row.c_wz * (w - z)
-                x += row.c_z * z
-                del w, z  # free the pair before the next score evaluation
-        if clip is not None:
-            x = np.clip(x, clip[0], clip[1])
-        if record_trajectory:
-            snapshots.append(x)
-    return x, np.stack(snapshots) if record_trajectory else None
+                if noise == "wz":
+                    x += row.c_wz * wz
+                    x += row.c_z * z
+            if clip is not None:
+                np.clip(x, clip[0], clip[1], out=x)
+            if path is not None:
+                path[i + 1] = x
 
 
 def _run_chunks(
     solver: str,
     sched: NoiseSchedule,
-    steps: StepSchedule,
+    plans: tuple[StepSchedule, ...],
     score: ScoreField,
     d: int,
     batch: int,
@@ -287,30 +325,38 @@ def _run_chunks(
     workers: int,
     final_noise: bool = False,
 ):
-    table = step_table(solver, sched, steps)
+    """``(tables, trajectories, finals)`` of ``batch`` trajectories on each
+    plan, stepped in lockstep.  ``finals`` is (len(plans) * batch, d), plan g
+    in rows g * batch to (g + 1) * batch, so a block's slice of each plan is
+    contiguous and every row is one sampled trajectory (as the benchmark's
+    trace counts them); ``trajectories`` is None unless ``record_trajectory``,
+    else plan g's (N + 1, batch, d) states at index g."""
+    tables = tuple(step_table(solver, sched, steps) for steps in plans)
     if batch < 1 or d < 1:
         raise ValueError(f"batch and dimension d must be at least 1, got batch={batch} d={d}")
     if score.d != d:
         raise ValueError(f"score field dimension {score.d} does not match d={d}")
     n_chunks = workers if workers > 1 and batch >= 2 * workers else 1
     # at most one block per worker keeps the worker split; larger batches run
-    # in blocks of at most TRAJECTORY_BLOCK_BYTES of state each, cut at the
-    # boundaries np.array_split gives (the first batch % n_blocks one row longer)
+    # in blocks of at most TRAJECTORY_BLOCK_BYTES of state per plan each, cut
+    # at the boundaries np.array_split gives (the first batch % n_blocks one
+    # row longer)
     rows = max(1, TRAJECTORY_BLOCK_BYTES // (8 * d))
     n_blocks = max(n_chunks, -(-batch // rows))
     size, longer = divmod(batch, n_blocks)
     bounds = [i * size + min(i, longer) for i in range(n_blocks + 1)]
-    run = partial(_sample_chunk, SOLVERS[solver], sched, steps, score, d, seed=seed, clip=clip,
-                  record_trajectory=record_trajectory, start=start,
-                  final_noise=final_noise, table=table)
-    finals = np.empty((batch, d))
-    trajectory = np.empty((steps.N + 1, batch, d)) if record_trajectory else None
+    run = partial(_sample_chunk, SOLVERS[solver], sched, max(plans, key=lambda p: p.N),
+                  score, d, seed=seed, clip=clip, start=start, final_noise=final_noise,
+                  tables=tables)
+    finals = np.empty((len(plans) * batch, d))
+    trajectories = [np.empty((steps.N + 1, batch, d)) for steps in plans] \
+        if record_trajectory else None
+    offsets = range(0, len(finals), batch)
 
     def run_block(lo: int, hi: int) -> None:
-        x, path = run(np.arange(lo, hi, dtype=np.uint64))
-        finals[lo:hi] = x
-        if record_trajectory:
-            trajectory[:, lo:hi] = path
+        run(np.arange(lo, hi, dtype=np.uint64),
+            states=[finals[off + lo:off + hi] for off in offsets],
+            paths=[path[:, lo:hi] for path in trajectories] if record_trajectory else None)
 
     threads = min(workers, n_blocks)
     if threads == 1:
@@ -319,7 +365,7 @@ def _run_chunks(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_block, bounds, bounds[1:]))
-    return table, trajectory, finals
+    return tables, trajectories, finals
 
 
 def sample_finals(
@@ -340,10 +386,35 @@ def sample_finals(
     solvers; the sampling default drops it, which costs O(h) in the terminal
     variance and would mask the schemes' weak order in convergence studies.
     """
-    return _run_chunks(
-        solver, sched, steps, score, d, batch, seed, None, False,
+    return sample_finals_on_plans(solver, sched, (steps,), score, d, batch, seed, start,
+                                  workers, final_noise)[0]
+
+
+def sample_finals_on_plans(
+    solver: str,
+    sched: NoiseSchedule,
+    plans: tuple[StepSchedule, ...],
+    score: ScoreField,
+    d: int,
+    batch: int,
+    seed: int,
+    start: Optional[StartSpec] = None,
+    workers: int = 1,
+    final_noise: bool = False,
+) -> np.ndarray:
+    """The (len(plans), batch, d) finals of ``sample_finals`` on each plan.
+
+    Plan g's finals equal ``sample_finals`` on that plan byte for byte, but
+    the plans run in lockstep: a normal is a pure function of (seed, purpose,
+    trajectory, step, dim), so the start draw and the step-i normals are the
+    same for every plan, and each is drawn once for all plans that have a
+    step i.  The price is memory: all plans' finals are held at once.
+    """
+    finals = _run_chunks(
+        solver, sched, tuple(plans), score, d, batch, seed, None, False,
         start or StartSpec(), workers, final_noise,
     )[2]
+    return finals.reshape(len(plans), batch, d)
 
 
 def sample(
@@ -368,9 +439,10 @@ def sample(
     trajectory index; the mixture oracle on chunks of fewer than 8 rows is
     the known exception (its posterior mean takes other bits there).
     """
-    table, trajectory, finals = _run_chunks(
-        solver, sched, steps, score, d, batch, seed, clip, record_trajectory,
+    (table,), trajectories, finals = _run_chunks(
+        solver, sched, (steps,), score, d, batch, seed, clip, record_trajectory,
         StartSpec(), workers,
     )
     tableau = SOLVERS[solver].tableau
-    return finals, trajectory, len(table) * (tableau.stages if tableau else 1)
+    return (finals, trajectories[0] if record_trajectory else None,
+            len(table) * (tableau.stages if tableau else 1))

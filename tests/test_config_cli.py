@@ -323,6 +323,31 @@ def test_cli_rejects_flags_the_command_does_not_read(capsys, command, flag):
     assert "unrecognized arguments" in err and flag in err
 
 
+@pytest.mark.parametrize("solver", FIELD_NAMES["solver"])
+def test_cli_huge_linear_horizon_exits_2(capsys, solver):
+    # beta*h overflows at T=1e300: euler, taylor2 and euler_maruyama rows turn
+    # inf and taylor3 and ito_taylor overflow a float power, so step_table
+    # names T and the step; heun, rk4 and ddim are refused by nu(0)=0 first
+    assert main(["sample", "--solver", solver, "--schedule", "linear", "--T", "1e300"]) == 2
+    err = capsys.readouterr().err
+    if solver in ("heun", "rk4"):
+        assert "nu(0)=0" in err
+    elif solver == "ddim":
+        assert "nu_prev" in err
+    else:
+        assert f"solver '{solver}' with T=1e+300: the step from t=1e+300 overflows" in err
+
+
+def test_cli_fpe_demo_names_sigma_when_particles_blow_up(capsys):
+    # sigma**2 = 1e-200 is a valid float, but grad U ~ 1e200 throws the
+    # particles past the float range within two steps
+    with np.errstate(all="ignore"):
+        assert main(["fpe-demo", "--sigma", "1e-100", "--particles", "10",
+                     "--fpe-steps", "2", "--grid", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "not finite at step 2 with sigma=1e-100, h=5e-05" in err
+
+
 def test_cli_fpe_demo(tmp_path, capsys):
     argv = ["fpe-demo", "--particles", "2000", "--grid", "16", "--fpe-steps", "20",
             "--out", str(tmp_path / "run")]

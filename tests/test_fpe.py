@@ -137,6 +137,16 @@ def test_fpe_mass_conserved_every_step():
     assert stats["max_clamp_fraction"] < 1e-3
 
 
+@pytest.mark.parametrize("snapshot_every,n_steps", [(1, 3), (50, 2)])
+def test_langevin_refuses_particles_that_are_not_finite(snapshot_every, n_steps):
+    # grad U ~ 1e200 at sigma=1e-100: step 1 throws the particles to ~1e196,
+    # step 2 overflows them; caught at a snapshot, or at the last step
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"not finite at step 2 with sigma=1e-100, h=5e-05"):
+        langevin_simulate(GmmPotential(sigma=1e-100), 10, 5e-5, n_steps,
+                          snapshot_every=snapshot_every)
+
+
 def test_fpe_pure_diffusion_widens_gaussian():
     # with a flat potential the equation is the heat equation: variance grows 2Dh per unit time
     pot = GmmPotential(sigma=1e6, D=1.0)  # enormous sigma flattens the wells

@@ -21,6 +21,7 @@ from difftaylor.samplers import (
     rk_step,
     sample,
     sample_finals,
+    sample_finals_on_plans,
     step_table,
     taylor_flat_coeffs,
     taylor_sharp_step,
@@ -511,3 +512,30 @@ def test_blocks_build_their_own_trajectory_indices(workers):
     finally:
         tracemalloc.stop()
     assert peak < 8 * batch + 8 * workers * samplers.TRAJECTORY_BLOCK_BYTES
+
+
+# nested plans share their grid times, non-nested ones only their step indices
+LOCKSTEP_PLANS = {
+    "nested": tuple(make_step_schedule("constant", n, 1.0) for n in (8, 16, 32)),
+    "non-nested": tuple(make_step_schedule("exponential", n, 1.0) for n in (5, 12)),
+}
+
+
+@pytest.mark.parametrize("plans", sorted(LOCKSTEP_PLANS))
+@pytest.mark.parametrize("final_noise", [False, True])
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_lockstep_plans_equal_separate_runs(monkeypatch, solver, final_noise, plans):
+    # each plan's lockstep finals equal a sample_finals call of its own byte
+    # for byte, in blocks of 3 rows (3, 3, 2 and 2 of 10) at every pool size
+    plans = LOCKSTEP_PLANS[plans]
+    x0 = np.array([0.5, -0.5])
+    common = dict(sched=fit_tanh_schedule(1e-3, 0.9, 1.0), score=delta_field(x0), d=2,
+                  batch=10, seed=9, start=StartSpec(kind="exact_marginal", x0=x0),
+                  final_noise=final_noise)
+    separate = [sample_finals(solver, steps=steps, **common) for steps in plans]
+    monkeypatch.setattr(samplers, "TRAJECTORY_BLOCK_BYTES", 3 * 8 * 2)
+    for workers in (1, 2, 3):
+        lockstep = sample_finals_on_plans(solver, plans=plans, workers=workers, **common)
+        assert lockstep.shape == (len(plans), 10, 2)
+        for finals, reference in zip(lockstep, separate):
+            assert finals.tobytes() == reference.tobytes()
