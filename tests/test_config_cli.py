@@ -459,3 +459,43 @@ def test_cli_sample_csv_frozen_sha256(tmp_path, solver, workers):
     assert code == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (summary, traj))
     assert digests == FROZEN_SAMPLE_SHA256[solver]
+
+
+# Every other CLI output file, pinned byte for byte: argv, then each file as
+# (suffix appended to the --out path, line count, sha256).  A "+raw" suffix
+# is the spa-sweep --raw-out path; fpe-demo's --out is a file prefix.
+FROZEN_OUTPUT_SHA256 = {
+    "order-heun": (
+        ["order", "--solver", "heun", "--preset", "cond-ii", "--halvings", "3"],
+        [("", 5, "ca78abd327b092d609dfc5bf3d6ff1e0c592b9cb86c230103683416729b3d70d")]),
+    "order-euler_maruyama": (
+        ["order", "--solver", "euler_maruyama", "--preset", "cond-ii", "--halvings", "2",
+         "--order-batch", "2000"],
+        [("", 7, "ad0580692d3ad85158710cf3bf0e34829aa8f18fbf72171ca0a90d2e58ea1896")]),
+    "schedule-dump-cosine": (
+        ["schedule-dump", "--schedule", "cosine", "--grid", "21"],
+        [("", 22, "f4904e7886b5da74ef50a235dda59ec9165876f5a98d9c91d512021ee89c0227")]),
+    "schedule-dump-linear-T0.1": (
+        ["schedule-dump", "--schedule", "linear", "--T", "0.1", "--grid", "4"],
+        [("", 5, "baa00f1ca08ff5c3382634fc47c6095d49431c1422e01cf1ec8a51908c3197d4")]),
+    "spa-sweep": (
+        ["spa-sweep", "--nu-grid", "0.1,0.5", "--trials", "30"],
+        [("", 3, "0dcf87fc5321b186eacd5e79cabd86e58ae7a50117f8450f469f6001068ae424"),
+         ("+raw", 61, "ddba098bb03daf69427630a4bdc2f80484a0311931c4cf5a81905f2715f9748f")]),
+    "fpe-demo": (
+        ["fpe-demo", "--particles", "2000", "--fpe-steps", "20", "--grid", "16"],
+        [("_grid.csv", 16, "7fbbb913083d123bfac3d0afa77e14c8a8dd376a6a5be51baa2ee3ab4f312b07"),
+         ("_particles.csv", 2001,
+          "60f340676112f336744971bb9fe3e5e732951d4a7211285452aaec3e57dc85fd")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_OUTPUT_SHA256))
+def test_cli_outputs_frozen_sha256(tmp_path, case):
+    argv, files = FROZEN_OUTPUT_SHA256[case]
+    out = str(tmp_path / "out")
+    extra = ["--raw-out", out + "+raw"] if case == "spa-sweep" else []
+    assert main(argv + ["--out", out] + extra) == 0
+    for suffix, n_lines, digest in files:
+        blob = open(out + suffix, "rb").read()
+        assert (blob.count(b"\n"), hashlib.sha256(blob).hexdigest()) == (n_lines, digest)
