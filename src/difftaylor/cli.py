@@ -5,8 +5,9 @@ Each accepts only the options it reads (``difftaylor <command> --help`` lists
 them); any other flag exits 2.  The names a flag takes (solver, schedule, step
 plan, oracle) come from ``config.FIELD_NAMES``, and ``--dataset`` is CSV or IDX
 by content, read by the mixture oracle and spa-sweep only.
-Every command writes CSV (or plain text for symdiff-dump) and prints a one
-line summary; ``sample --trajectory-out`` adds the states at every grid time.
+Every command writes CSV through ``_write_csv`` (plain text for symdiff-dump)
+and prints a one line summary; ``sample --trajectory-out`` adds the states at
+every grid time.
 Exit codes: 0 success, 2 configuration error, 1 runtime error.
 Worker-pool size comes from --workers, overridden by the DSL_THREADS
 environment variable; either must be at least 1, and results do not depend
@@ -44,6 +45,15 @@ def _write_lines(path: Optional[str], lines: list[str]) -> None:
     else:
         with open(path, "w") as f:
             f.write(text)
+
+
+def _write_csv(path: Optional[str], header: Optional[list[str]], rows) -> None:
+    """Write CSV to ``path`` (stdout when None): the header line unless None,
+    then one line per row.  ``str`` cells are written as they are, numbers as
+    ``_fmt`` gives them, joined by a plain "," with no quoting."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
+    _write_lines(path, lines)
 
 
 def _numbers(text: str) -> list[float]:
@@ -123,19 +133,16 @@ def _cmd_sample(args) -> int:
         clip=cfg.clip_tuple(), record_trajectory=args.trajectory_out is not None,
         workers=_workers(args),
     )
-    lines = ["run_id,solver,N,nfe,final_norm"]
-    for b, x in enumerate(finals):
-        lines.append(f"{b},{cfg.solver},{steps.N},{nfe},{_fmt(float(np.linalg.norm(x)))}")
-    _write_lines(cfg.out, lines)
+    _write_csv(cfg.out, ["run_id", "solver", "N", "nfe", "final_norm"],
+               ((b, cfg.solver, steps.N, nfe, np.linalg.norm(x))
+                for b, x in enumerate(finals)))
     if trajectory is not None:
-        dims = ",".join(f"dim{i}" for i in range(cfg.d))
-        tlines = [f"run_id,step,t,h,{dims}"]
         hs = (0.0,) + steps.steps
-        for b, path in enumerate(trajectory.swapaxes(0, 1)):
-            for i, (t, h, x) in enumerate(zip(steps.times, hs, path)):
-                vals = ",".join(_fmt(float(v)) for v in x)
-                tlines.append(f"{b},{i},{_fmt(t)},{_fmt(h)},{vals}")
-        _write_lines(args.trajectory_out, tlines)
+        _write_csv(args.trajectory_out,
+                   ["run_id", "step", "t", "h"] + [f"dim{i}" for i in range(cfg.d)],
+                   ((b, i, t, h, *x)
+                    for b, path in enumerate(trajectory.swapaxes(0, 1))
+                    for i, (t, h, x) in enumerate(zip(steps.times, hs, path))))
     print(f"sample: solver={cfg.solver} N={steps.N} batch={cfg.batch} "
           f"nfe={nfe} seed={cfg.seed}")
     return 0
@@ -165,11 +172,9 @@ def _cmd_order(args) -> int:
         oe = deterministic_order(cfg.solver, sched, d=cfg.d, seed=cfg.seed, **sizes)
         est = {"path": oe}
         summary = f"slope={oe.slope:.3f} r2={oe.r2:.5f}"
-    lines = ["solver,moment,h,error,slope,r2"]
-    for moment, oe in est.items():
-        lines += [f"{oe.solver},{moment},{_fmt(h)},{_fmt(e)},{_fmt(oe.slope)},{_fmt(oe.r2)}"
-                  for h, e in zip(oe.h_list, oe.error_list)]
-    _write_lines(cfg.out, lines)
+    _write_csv(cfg.out, ["solver", "moment", "h", "error", "slope", "r2"],
+               ((oe.solver, moment, h, e, oe.slope, oe.r2)
+                for moment, oe in est.items() for h, e in zip(oe.h_list, oe.error_list)))
     halvings = "" if args.halvings is None else f" halvings={args.halvings}"
     print(f"order: solver={cfg.solver}{halvings} {summary}")
     return 0
@@ -181,13 +186,11 @@ def _cmd_schedule_dump(args) -> int:
     n = args.grid
     if n < 2:
         raise ConfigError(f"grid must have at least 2 points, got {n}")
-    lines = ["t,lambda,nu,beta,beta_d1,beta_d2"]
-    for i in range(n):
-        t = cfg.T * i / (n - 1)
-        s = eval_schedule(sched, t)
-        lines.append(",".join(_fmt(v) for v in
-                              (t, s.lam, s.nu, s.beta, s.beta_d1, s.beta_d2)))
-    _write_lines(cfg.out, lines)
+    times = [cfg.T * i / (n - 1) for i in range(n)]
+    samples = [eval_schedule(sched, t) for t in times]
+    _write_csv(cfg.out, ["t", "lambda", "nu", "beta", "beta_d1", "beta_d2"],
+               ((t, s.lam, s.nu, s.beta, s.beta_d1, s.beta_d2)
+                for t, s in zip(times, samples)))
     print(f"schedule-dump: kind={cfg.schedule} points={n}")
     return 0
 
@@ -203,18 +206,10 @@ def _cmd_spa_sweep(args) -> int:
     result = spa.spa_sweep(data, args.nu_grid, args.trials, seed=cfg.seed,
                            raw=bool(args.raw_out))
     rows, raw_rows = result if args.raw_out else (result, None)
-    cols = list(rows[0])  # spa_sweep's row keys, in the sweep CSV's column order
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in cols))
-    _write_lines(cfg.out, lines)
+    # spa_sweep's row keys, in order, are each CSV's columns
+    _write_csv(cfg.out, list(rows[0]), (row.values() for row in rows))
     if raw_rows is not None:
-        rcols = list(raw_rows[0])
-        rlines = [",".join(rcols)]
-        for row in raw_rows:
-            rlines.append(",".join(
-                str(row[c]) if c == "trial" else _fmt(row[c]) for c in rcols))
-        _write_lines(args.raw_out, rlines)
+        _write_csv(args.raw_out, list(raw_rows[0]), (row.values() for row in raw_rows))
     print(f"spa-sweep: points={len(data.points)} grid={len(args.nu_grid)} trials={args.trials}")
     return 0
 
@@ -240,10 +235,8 @@ def _cmd_fpe_demo(args) -> int:
     binned = fpe.bin_particles(particles, args.extent, args.grid)
     tv = fpe.tv_distance(binned, density.values, density.cell)
     prefix = args.out or "fpe"
-    glines = [",".join(_fmt(v) for v in row) for row in density.values]
-    _write_lines(f"{prefix}_grid.csv", glines)
-    plines = ["x,y"] + [f"{_fmt(p[0])},{_fmt(p[1])}" for p in particles]
-    _write_lines(f"{prefix}_particles.csv", plines)
+    _write_csv(f"{prefix}_grid.csv", None, density.values)
+    _write_csv(f"{prefix}_particles.csv", ["x", "y"], particles)
     print(f"fpe-demo: steps={args.fpe_steps} particles={args.particles} "
           f"tv={tv:.4f} max_clamp={stats['max_clamp_fraction']:.2e}")
     return 0
