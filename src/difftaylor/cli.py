@@ -186,11 +186,11 @@ def _cmd_schedule_dump(args) -> int:
     n = args.grid
     if n < 2:
         raise ConfigError(f"grid must have at least 2 points, got {n}")
-    times = [cfg.T * i / (n - 1) for i in range(n)]
-    samples = [eval_schedule(sched, t) for t in times]
+    # each row reads the time its sample was taken at, which eval_schedule
+    # clamps to [0, T] (T * i / (n - 1) can round past T)
+    samples = [eval_schedule(sched, cfg.T * i / (n - 1)) for i in range(n)]
     _write_csv(cfg.out, ["t", "lambda", "nu", "beta", "beta_d1", "beta_d2"],
-               ((t, s.lam, s.nu, s.beta, s.beta_d1, s.beta_d2)
-                for t, s in zip(times, samples)))
+               ((s.t, s.lam, s.nu, s.beta, s.beta_d1, s.beta_d2) for s in samples))
     print(f"schedule-dump: kind={cfg.schedule} points={n}")
     return 0
 

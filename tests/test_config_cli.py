@@ -475,9 +475,10 @@ FROZEN_OUTPUT_SHA256 = {
     "schedule-dump-cosine": (
         ["schedule-dump", "--schedule", "cosine", "--grid", "21"],
         [("", 22, "f4904e7886b5da74ef50a235dda59ec9165876f5a98d9c91d512021ee89c0227")]),
+    # 0.1 * 3 / 3 rounds past T; the last row reads the clamped t = 0.1
     "schedule-dump-linear-T0.1": (
         ["schedule-dump", "--schedule", "linear", "--T", "0.1", "--grid", "4"],
-        [("", 5, "baa00f1ca08ff5c3382634fc47c6095d49431c1422e01cf1ec8a51908c3197d4")]),
+        [("", 5, "bad7502e5ce74b41240f2e107190832575e21a42276880a4178aa98c5864bd48")]),
     "spa-sweep": (
         ["spa-sweep", "--nu-grid", "0.1,0.5", "--trials", "30"],
         [("", 3, "0dcf87fc5321b186eacd5e79cabd86e58ae7a50117f8450f469f6001068ae424"),
