@@ -211,9 +211,11 @@ def step_table(solver: str, sched: NoiseSchedule, steps: StepSchedule) -> list[S
             if not all(map(math.isfinite, fields)):
                 raise OverflowError(f"row {fields}")
             table.append(StepRow(t, h, *fields))
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
+        # a row builder's refusal (DDIM at nu=0, clamped cosine beta) names the step too
+        what = "overflows" if isinstance(exc, OverflowError) else "is refused"
         raise ValueError(f"solver {solver!r} with T={sched.T}: the step from t={t} "
-                         f"overflows ({exc})") from None
+                         f"{what} ({exc})") from None
     return table
 
 

@@ -338,6 +338,16 @@ def test_cli_huge_linear_horizon_exits_2(capsys, solver):
         assert f"solver '{solver}' with T=1e+300: the step from t=1e+300 overflows" in err
 
 
+@pytest.mark.parametrize("solver, schedule, step", [("ddim", "linear", "t=0.125"),
+                                                     ("taylor3", "cosine", "t=1.0")])
+def test_cli_row_refusal_names_solver_and_step(capsys, solver, schedule, step):
+    # ddim_coeffs refuses nu_prev = 0 and the Taylor rows the clamped cosine beta;
+    # step_table keeps that text and names the solver, T and the step
+    assert main(["sample", "--solver", solver, "--schedule", schedule]) == 2
+    err = capsys.readouterr().err
+    assert f"solver '{solver}' with T=1.0: the step from {step} is refused (" in err
+
+
 def test_cli_fpe_demo_names_sigma_when_particles_blow_up(capsys):
     # sigma**2 = 1e-200 is a valid float, but grad U ~ 1e200 throws the
     # particles past the float range within two steps
