@@ -132,14 +132,16 @@ def langevin_simulate(
     x = stream.normals(0, 2)
     amp = math.sqrt(2.0 * pot.D * h)
     snaps = [(0, x.copy())]
-    for i in range(1, n_steps + 1):
-        w = stream.normals(i, 2)
-        x = x - h * pot.grad(x) + amp * w
-        if i % snapshot_every == 0 or i == n_steps:
-            if not np.isfinite(x).all():
-                raise ValueError(f"Langevin particles are not finite at step {i} with "
-                                 f"sigma={pot.sigma}, h={h}; lower h or raise sigma")
-            snaps.append((i, x.copy()))
+    # overflowing particles warn nothing: the finiteness check names the cause
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            w = stream.normals(i, 2)
+            x = x - h * pot.grad(x) + amp * w
+            if i % snapshot_every == 0 or i == n_steps:
+                if not np.isfinite(x).all():
+                    raise ValueError(f"Langevin particles are not finite at step {i} with "
+                                     f"sigma={pot.sigma}, h={h}; lower h or raise sigma")
+                snaps.append((i, x.copy()))
     return snaps
 
 

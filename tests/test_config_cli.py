@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,16 @@ def test_cli_fpe_demo_names_sigma_when_particles_blow_up(capsys):
                      "--fpe-steps", "2", "--grid", "8"]) == 2
     err = capsys.readouterr().err
     assert "not finite at step 2 with sigma=1e-100, h=5e-05" in err
+
+
+def test_cli_fpe_demo_blow_up_raises_no_numpy_warning(capsys):
+    # the overflow is the finiteness check's to report, not a RuntimeWarning's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["fpe-demo", "--sigma", "1e-100", "--particles", "10",
+                     "--fpe-steps", "2", "--grid", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Langevin particles are not finite") and "sigma=1e-100" in err
 
 
 def test_cli_fpe_demo(tmp_path, capsys):
