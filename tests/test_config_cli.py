@@ -351,22 +351,15 @@ def test_cli_row_refusal_names_solver_and_step(capsys, solver, schedule, step):
 
 def test_cli_fpe_demo_names_sigma_when_particles_blow_up(capsys):
     # sigma**2 = 1e-200 is a valid float, but grad U ~ 1e200 throws the
-    # particles past the float range within two steps
-    with np.errstate(all="ignore"):
-        assert main(["fpe-demo", "--sigma", "1e-100", "--particles", "10",
-                     "--fpe-steps", "2", "--grid", "8"]) == 2
-    err = capsys.readouterr().err
-    assert "not finite at step 2 with sigma=1e-100, h=5e-05" in err
-
-
-def test_cli_fpe_demo_blow_up_raises_no_numpy_warning(capsys):
-    # the overflow is the finiteness check's to report, not a RuntimeWarning's
+    # particles past the float range within two steps; the finiteness check,
+    # not a numpy RuntimeWarning, reports it
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["fpe-demo", "--sigma", "1e-100", "--particles", "10",
                      "--fpe-steps", "2", "--grid", "8"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: Langevin particles are not finite") and "sigma=1e-100" in err
+    assert err == ("error: Langevin particles are not finite at step 2 with "
+                   "sigma=1e-100, h=5e-05; lower h or raise sigma\n")
 
 
 def test_cli_fpe_demo(tmp_path, capsys):
@@ -519,5 +512,5 @@ def test_cli_outputs_frozen_sha256(tmp_path, case):
     extra = ["--raw-out", out + "+raw"] if case == "spa-sweep" else []
     assert main(argv + ["--out", out] + extra) == 0
     for suffix, n_lines, digest in files:
-        blob = open(out + suffix, "rb").read()
+        blob = (tmp_path / f"out{suffix}").read_bytes()
         assert (blob.count(b"\n"), hashlib.sha256(blob).hexdigest()) == (n_lines, digest)
