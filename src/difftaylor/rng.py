@@ -7,9 +7,11 @@ statistically solid for simulation work and trivially vectorizable in numpy.
 
 The per-step normals of a trajectory hash the words (seed, purpose, traj,
 step, dim) in that order.  ``TrajectoryStream`` hashes the step-independent
-prefix (seed, purpose, traj) once and per step runs only the step and dim
-rounds; its variates are bit-identical to ``counter_normal`` on the same
-words.  ``counter_bits`` and the stream share one SplitMix64, run in place.
+prefix (seed, purpose, traj) once; per step it runs the step round once per
+trajectory and the dim round once per variate.  Its variates are
+bit-identical to ``counter_normal`` on the same words.  ``counter_bits`` and
+the stream share one SplitMix64, run in place, each round at the shape of the
+words hashed so far.
 """
 
 from __future__ import annotations
@@ -46,14 +48,20 @@ def _splitmix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def counter_bits(seed: int, *words) -> np.ndarray:
-    """Hash (seed, words...) to uint64.  Array words broadcast together."""
-    arrays = np.broadcast_arrays(*[np.asarray(w, dtype=np.uint64) for w in words])
-    h = np.full(arrays[0].shape, np.uint64(seed))
-    tmp = np.empty_like(h)
-    _splitmix64_inplace(h, tmp)
-    for w in arrays:
-        h ^= w
-        _splitmix64_inplace(h, tmp)
+    """Hash (seed, words...) to uint64.  Array words broadcast together.
+
+    Each round runs at the shape of the words so far: the seed round and
+    scalar words cost one scalar round, not one per output element.
+    """
+    h = np.array(seed, dtype=np.uint64)
+    _splitmix64_inplace(h, np.empty_like(h))
+    for w in words:
+        w = np.asarray(w, dtype=np.uint64)
+        # into a fresh array: a 0-d ``h ^ w`` would be a numpy scalar, which
+        # the in-place rounds leave untouched
+        h = np.bitwise_xor(h, w, out=np.empty(np.broadcast_shapes(h.shape, w.shape),
+                                              dtype=np.uint64))
+        _splitmix64_inplace(h, np.empty_like(h))
     return h
 
 
@@ -87,12 +95,22 @@ class TrajectoryStream:
 
     def normals(self, step: int, d: int) -> np.ndarray:
         """Standard normals of shape ``(*traj.shape, d)`` at ``step``."""
-        dims = np.arange(d, dtype=np.uint64)
-        bits = np.empty(self.prefix.shape + dims.shape, dtype=np.uint64)
+        # the step round does not depend on the dim: run it once per trajectory,
+        # in the output's memory at d = 1 and in the scratch's otherwise
+        n = self.prefix.size
+        bits = np.empty(self.prefix.shape + (d,), dtype=np.uint64)
         tmp = np.empty_like(bits)
-        np.bitwise_xor(self.prefix[..., None], np.uint64(step), out=bits)
-        _splitmix64_inplace(bits, tmp)
-        bits ^= dims
+        flat = tmp.reshape(-1)
+        z = (bits if d == 1 else flat[:n]).reshape(self.prefix.shape)
+        np.bitwise_xor(self.prefix, np.uint64(step), out=z)
+        _splitmix64_inplace(z, flat[-n:].reshape(z.shape))
+        # at d = 1 the dim word is 0 and z already is bits; for a few dims over
+        # many trajectories, one strided xor per dim beats a length-d inner loop
+        if 1 < d <= 4 and n >= 100 * d:
+            for j in range(d):
+                np.bitwise_xor(z, np.uint64(j), out=bits[..., j])
+        elif d > 1:
+            np.bitwise_xor(z[..., None], np.arange(d, dtype=np.uint64), out=bits)
         _splitmix64_inplace(bits, tmp)
         np.right_shift(bits, np.uint64(11), out=tmp)
         u = bits.view(np.float64)  # the bits are spent; reuse their memory

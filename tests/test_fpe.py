@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from difftaylor import samplers
 from difftaylor.fpe import (
     DensityGrid,
     GmmPotential,
@@ -145,6 +146,32 @@ def test_langevin_refuses_particles_that_are_not_finite(snapshot_every, n_steps)
             ValueError, match=r"not finite at step 2 with sigma=1e-100, h=5e-05"):
         langevin_simulate(GmmPotential(sigma=1e-100), 10, 5e-5, n_steps,
                           snapshot_every=snapshot_every)
+
+
+def _block_rows(monkeypatch, rows):
+    # blocks of `rows` particles: TRAJECTORY_BLOCK_BYTES holds (x, y) in float64
+    monkeypatch.setattr(samplers, "TRAJECTORY_BLOCK_BYTES", rows * 2 * 8)
+
+
+@pytest.mark.parametrize("rows", [5, 64, 1000])
+def test_langevin_blocks_keep_the_bits(monkeypatch, rows):
+    # 2001 particles are one block by default; in blocks of a few rows every
+    # snapshot is byte-equal
+    pot = GmmPotential()
+    whole = langevin_simulate(pot, 2001, 5e-5, 12, seed=4, snapshot_every=5)
+    _block_rows(monkeypatch, rows)
+    blocked = langevin_simulate(pot, 2001, 5e-5, 12, seed=4, snapshot_every=5)
+    assert [s for s, _ in blocked] == [s for s, _ in whole] == [0, 5, 10, 12]
+    for (_, a), (_, b) in zip(blocked, whole):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("snapshot_every,n_steps", [(1, 3), (50, 2)])
+def test_langevin_refusal_names_the_first_bad_step_across_blocks(
+        monkeypatch, snapshot_every, n_steps):
+    # the 10 particles of the refusal test in blocks of 3: still step 2
+    _block_rows(monkeypatch, 3)
+    test_langevin_refuses_particles_that_are_not_finite(snapshot_every, n_steps)
 
 
 def test_fpe_pure_diffusion_widens_gaussian():

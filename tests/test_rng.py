@@ -41,6 +41,17 @@ def test_distinct_seeds_distinct_streams(seed, words):
     assert a != b
 
 
+def test_counter_bits_broadcasts_like_hashing_each_element():
+    # each round runs at the shape of the words so far; the bits are those of
+    # hashing every element's words one at a time
+    a = np.arange(3, dtype=np.uint64)[:, None]
+    b = np.arange(4, dtype=np.uint64) * 1_000_003
+    got = rng.counter_bits(9, 2, a, 5, b)
+    ref = np.array([[rng.counter_bits(9, 2, i, 5, j) for j in b] for i in a[:, 0]])
+    assert got.shape == (3, 4)
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_purpose_separation():
     tr = np.arange(64, dtype=np.uint64)
     w = rng.step_normals(0, rng.PURPOSE_STEP_W, tr, 1, 2)
@@ -68,10 +79,13 @@ def test_correlated_pair_covariances():
     assert abs(np.mean(zt * zt) / (h**3 / 3) - 1.0) < 0.01
 
 
-@pytest.mark.parametrize("d", [1, 2, 5])
+# d = 64 over a few trajectories is the mixture sampler's draw; 1000 trajectories
+# at d <= 4 take the one-xor-per-dim path, which the Langevin particles draw
+@pytest.mark.parametrize("d", [1, 2, 5, 64])
 @pytest.mark.parametrize("traj", [np.uint64(3), np.arange(7, dtype=np.uint64),
-                                  np.arange(12, dtype=np.uint64).reshape(3, 4) * 1_000_003],
-                         ids=["0d", "1d", "3x4"])
+                                  np.arange(12, dtype=np.uint64).reshape(3, 4) * 1_000_003,
+                                  np.arange(1000, dtype=np.uint64) * 7],
+                         ids=["0d", "1d", "3x4", "1000"])
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1, 2**64 - 1])
 def test_trajectory_stream_matches_counter_normal(seed, traj, d):
     stream = rng.TrajectoryStream(seed, rng.PURPOSE_STEP_W, traj)
