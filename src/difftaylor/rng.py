@@ -104,9 +104,10 @@ class TrajectoryStream:
         z = (bits if d == 1 else flat[:n]).reshape(self.prefix.shape)
         np.bitwise_xor(self.prefix, np.uint64(step), out=z)
         _splitmix64_inplace(z, flat[-n:].reshape(z.shape))
-        # at d = 1 the dim word is 0 and z already is bits; for a few dims over
-        # many trajectories, one strided xor per dim beats a length-d inner loop
-        if 1 < d <= 4 and n >= 100 * d:
+        # at d = 1 the dim word is 0 and z already is bits; at a few dims one
+        # strided xor per dim beats a length-d inner loop (the fpe particles,
+        # d = 2), at many dims the broadcast xor wins (the mixture, d = 64)
+        if 1 < d <= 4:
             for j in range(d):
                 np.bitwise_xor(z, np.uint64(j), out=bits[..., j])
         elif d > 1:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from difftaylor import samplers
+from difftaylor import rng, samplers
 from difftaylor.fpe import (
     DensityGrid,
     GmmPotential,
@@ -172,6 +172,46 @@ def test_langevin_refusal_names_the_first_bad_step_across_blocks(
     # the 10 particles of the refusal test in blocks of 3: still step 2
     _block_rows(monkeypatch, 3)
     test_langevin_refuses_particles_that_are_not_finite(snapshot_every, n_steps)
+
+
+class _IndexStream:
+    # particle j starts at (j, 0) and draws no noise
+    def __init__(self, seed, purpose, traj):
+        self.traj = traj
+
+    def normals(self, step, d):
+        z = np.zeros((self.traj.size, d))
+        if step == 0:
+            z[:, 0] = self.traj
+        return z
+
+
+class _PoisonedPotential(GmmPotential):
+    # pushes y up by h each step, so at step i particle j sits at (j, i - 1) and
+    # the gradient can throw chosen particles to -inf at chosen steps
+    def __init__(self, bad_at):
+        super().__init__()
+        self.bad_at = bad_at  # {particle: step}
+
+    def grad(self, xy):
+        g = np.zeros_like(xy)
+        g[:, 1] = -1.0
+        for j, step in self.bad_at.items():
+            g[(xy[:, 0] == j) & (xy[:, 1] == step - 1)] = np.inf
+        return g
+
+
+@pytest.mark.parametrize("bad_at,step", [
+    ({0: 3, 9: 1}, 1),  # the last block goes bad before the first one
+    ({0: 2, 5: 3}, 2),  # a later block goes bad only past the first block's step
+])
+def test_langevin_refusal_names_the_earliest_step_over_all_blocks(monkeypatch, bad_at, step):
+    # 10 particles in blocks of 3 rows: [0, 2), [2, 5), [5, 7), [7, 10)
+    _block_rows(monkeypatch, 3)
+    monkeypatch.setattr(rng, "TrajectoryStream", _IndexStream)
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=rf"not finite at step {step} with sigma=0.1, h=1.0;"):
+        langevin_simulate(_PoisonedPotential(bad_at), 10, 1.0, 4, snapshot_every=1)
 
 
 def test_fpe_pure_diffusion_widens_gaussian():

@@ -79,13 +79,12 @@ def test_correlated_pair_covariances():
     assert abs(np.mean(zt * zt) / (h**3 / 3) - 1.0) < 0.01
 
 
-# d = 64 over a few trajectories is the mixture sampler's draw; 1000 trajectories
-# at d <= 4 take the one-xor-per-dim path, which the Langevin particles draw
+# d = 2 takes the one-xor-per-dim path (the Langevin particles' draw), d = 5
+# and d = 64 the broadcast xor (64 is the mixture sampler's draw)
 @pytest.mark.parametrize("d", [1, 2, 5, 64])
 @pytest.mark.parametrize("traj", [np.uint64(3), np.arange(7, dtype=np.uint64),
-                                  np.arange(12, dtype=np.uint64).reshape(3, 4) * 1_000_003,
-                                  np.arange(1000, dtype=np.uint64) * 7],
-                         ids=["0d", "1d", "3x4", "1000"])
+                                  np.arange(12, dtype=np.uint64).reshape(3, 4) * 1_000_003],
+                         ids=["0d", "1d", "3x4"])
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1, 2**64 - 1])
 def test_trajectory_stream_matches_counter_normal(seed, traj, d):
     stream = rng.TrajectoryStream(seed, rng.PURPOSE_STEP_W, traj)
